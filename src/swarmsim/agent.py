@@ -51,16 +51,6 @@ PHASE_SIGNING = "signing"
 PHASE_DONE = "done"
 PHASE_ABORTED = "aborted"
 
-# Forward order along the happy path; Aborted is reachable from anywhere.
-PHASE_ORDER = (
-    PHASE_MONITORING,
-    PHASE_COMPUTING,
-    PHASE_CROSS_VALIDATING,
-    PHASE_SIGNING,
-    PHASE_DONE,
-)
-
-
 class OutOfOrderEvent(Exception):
     pass
 

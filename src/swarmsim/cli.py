@@ -42,38 +42,42 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("transcript", help="transcript JSONL file")
     ver_p.add_argument("scenario", help="scenario JSON file")
 
-    gen_p = sub.add_parser("gen", help="emit a schema-valid scenario JSON")
-    gen_p.add_argument("--seed", type=int, default=7)
-    gen_p.add_argument("--bidders", type=int, default=12, help="generated bidder count")
-    gen_p.add_argument("--items", type=int, default=4, help="identical items for sale")
-    gen_p.add_argument("--agents", type=int, default=3)
-    gen_p.add_argument("--threshold", type=int, default=2, help="multisig threshold m")
-    gen_p.add_argument(
-        "--dist",
-        default="uniform:100,1000",
-        help="bid distribution, uniform:LO,HI or pareto:SCALE,SHAPE",
+    # Scenario flags carry no argparse defaults: only the flags given reach
+    # build_scenario_dict, whose signature states every default once.
+    gen_p = sub.add_parser(
+        "gen",
+        help="emit a schema-valid scenario JSON",
+        argument_default=argparse.SUPPRESS,
     )
-    gen_p.add_argument("--window", default="1,5", help="funding window START,END")
+    gen_p.add_argument("--seed", type=int)
+    gen_p.add_argument("--bidders", type=int, help="generated bidder count")
+    gen_p.add_argument("--items", type=int, help="identical items for sale")
+    gen_p.add_argument("--agents", type=int)
+    gen_p.add_argument("--threshold", type=int, help="multisig threshold m")
+    gen_p.add_argument(
+        "--dist", help="bid distribution, uniform:LO,HI or pareto:SCALE,SHAPE"
+    )
+    gen_p.add_argument("--window", help="funding window START,END")
     gen_p.add_argument(
         "--height-spread",
         type=int,
-        default=None,
         help="heights used by the generator, from window start (default: whole window)",
     )
-    gen_p.add_argument("--net-seed", type=int, default=None, help="default: --seed")
-    gen_p.add_argument("--delay", default="1,2", help="message delay MIN,MAX ticks")
-    gen_p.add_argument("--drop-rate", type=float, default=0.0)
+    gen_p.add_argument("--net-seed", type=int, help="default: --seed")
+    gen_p.add_argument("--delay", help="message delay MIN,MAX ticks")
+    gen_p.add_argument("--drop-rate", type=float)
     gen_p.add_argument(
         "--fault",
         action="append",
-        default=[],
         metavar="IDX:KIND[:ARG]",
         help="inject a fault, e.g. 0:crash:12 or 1:wrong_root:5 (repeatable)",
     )
-    gen_p.add_argument("--r-max", type=int, default=3)
-    gen_p.add_argument("--round-timeout", type=int, default=10)
-    gen_p.add_argument("--max-time", type=int, default=500)
-    gen_p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+    gen_p.add_argument("--r-max", type=int)
+    gen_p.add_argument("--round-timeout", type=int)
+    gen_p.add_argument("--max-time", type=int)
+    gen_p.add_argument(
+        "--out", metavar="PATH", default=None, help="write here instead of stdout"
+    )
     return parser
 
 
@@ -134,24 +138,14 @@ def _pair(text: str, flag: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     try:
-        data = harness.build_scenario_dict(
-            seed=args.seed,
-            bidders=args.bidders,
-            items=args.items,
-            agents=args.agents,
-            threshold=args.threshold,
-            dist=args.dist,
-            height_spread=args.height_spread,
-            window=_pair(args.window, "--window"),
-            net_seed=args.net_seed,
-            delay=_pair(args.delay, "--delay"),
-            drop_rate=args.drop_rate,
-            faults=tuple(args.fault),
-            r_max=args.r_max,
-            round_timeout=args.round_timeout,
-            max_time=args.max_time,
-        )
+        for name in ("window", "delay"):
+            if name in flags:
+                flags[name] = _pair(flags[name], f"--{name}")
+        if "fault" in flags:
+            flags["faults"] = tuple(flags.pop("fault"))
+        data = harness.build_scenario_dict(**flags)
     except harness.InvalidFlags as exc:
         print(f"invalid flags: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import heapq
 import json
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import netsim, wallet
 from .agent import (
@@ -25,9 +25,9 @@ from .agent import (
     EnclaveMock,
     expected_measurement_for,
 )
-from .auction import AuctionConfig, SettlementTx, encode_settlement
+from .auction import AuctionConfig, SettlementTx
 from .consensus import RoundConfig
-from .ledger import AMOUNT_LIMIT, FundingWindow, Ledger, encode_amount
+from .ledger import FundingWindow, Ledger, encode_amount
 from .netsim import FAULT_CRASH, FAULT_KINDS, FaultSpec, NetConfig, Partition, Simulation
 from .transcript import (
     SCHEMA_VERSION,
@@ -517,17 +517,7 @@ class RunReport:
     conservation_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "oracle": self.oracle,
-            "executed": self.executed,
-            "message_counts": self.message_counts,
-            "rounds_used": self.rounds_used,
-            "on_chain_tx_count": self.on_chain_tx_count,
-            "transcript_hash": self.transcript_hash,
-            "max_time_exceeded": self.max_time_exceeded,
-            "conservation_ok": self.conservation_ok,
-        }
+        return asdict(self)
 
     def summary_lines(self) -> list[str]:
         mc = self.message_counts
@@ -620,8 +610,8 @@ def _run(sc: Scenario) -> tuple[Transcript, RunReport]:
     sim.run()
 
     oracle_tx, oracle_price = oracle_settlement(sc)
-    oracle_bytes = encode_settlement(oracle_tx)
-    outcome = _classify(ledger, agents, oracle_bytes)
+    oracle_digest = wallet.settlement_digest(oracle_tx)
+    outcome = _classify(ledger, agents, oracle_digest)
     tr.add(
         {
             "event": "run_outcome",
@@ -632,16 +622,16 @@ def _run(sc: Scenario) -> tuple[Transcript, RunReport]:
     )
 
     report = _build_report(
-        tr, ledger, agents, outcome, oracle_tx, oracle_price, sim.max_time_exceeded
+        tr, ledger, agents, outcome, oracle_tx, oracle_price, oracle_digest,
+        sim.max_time_exceeded,
     )
     return tr, report
 
 
-def _classify(ledger: Ledger, agents: list, oracle_bytes: bytes) -> str:
+def _classify(ledger: Ledger, agents: list, oracle_digest: bytes) -> str:
     receipts = list(ledger.settled.values())
     if receipts:
-        executed = encode_settlement(receipts[0].tx)
-        if executed == oracle_bytes:
+        if receipts[0].digest == oracle_digest:
             return OUTCOME_SETTLED_CORRECT
         return OUTCOME_SETTLED_FRAUDULENT
     if any(a.phase == PHASE_ABORTED for a in agents):
@@ -656,6 +646,7 @@ def _build_report(
     outcome: str,
     oracle_tx: SettlementTx,
     oracle_price: int,
+    oracle_digest: bytes,
     max_time_exceeded: bool,
 ) -> RunReport:
     partial_total = sum(a for _, a in oracle_tx.partial_refunds)
@@ -666,7 +657,7 @@ def _build_report(
         "partial_refund_total": str(partial_total),
         "full_refund_total": str(full_total),
         "retained": str(oracle_price * len(oracle_tx.mints)),
-        "digest": wallet.settlement_digest(oracle_tx).hex(),
+        "digest": oracle_digest.hex(),
     }
     executed = None
     receipts = list(ledger.settled.values())
@@ -679,58 +670,47 @@ def _build_report(
             "full_refund_total": str(r.full_refund_total),
             "retained": str(r.retained_balance),
         }
+    message_counts, conservation_ok = _scan_transcript(tr)
     return RunReport(
         outcome=outcome,
         oracle=oracle_info,
         executed=executed,
-        message_counts=_message_counts(tr),
+        message_counts=message_counts,
         rounds_used=max((a.round + 1 for a in agents), default=0),
         on_chain_tx_count=ledger.settlement_count(),
         transcript_hash=tr.body_hash().hex(),
         max_time_exceeded=max_time_exceeded,
-        conservation_ok=_conservation_from_transcript(tr),
+        conservation_ok=conservation_ok,
     )
 
 
-def _message_counts(tr: Transcript) -> dict:
-    counts = {
-        "propose": 0,
-        "ack": 0,
-        "nack": 0,
-        "abort": 0,
-        "delivered": 0,
-        "dropped": 0,
-        "submits": 0,
-    }
-    for ev in tr.iter_events():
-        kind = ev.get("event")
-        if kind == "peer_send":
-            counts[ev["msg"]["type"]] += 1
-        elif kind == "peer_deliver":
-            counts["delivered"] += 1
-        elif kind == "peer_drop":
-            counts["dropped"] += 1
-        elif kind == "submit":
-            counts["submits"] += 1
-    return counts
-
-
-def _conservation_from_transcript(tr: Transcript) -> bool:
-    """Exact base-unit accounting recomputed from transcript lines alone."""
+def _scan_transcript(tr: Transcript) -> tuple[dict, bool]:
+    """Message counts and exact base-unit conservation, from transcript lines alone."""
+    counts = dict.fromkeys(
+        ("propose", "ack", "nack", "abort", "delivered", "dropped", "submits"), 0
+    )
     inflow = 0
     settlement = None
     for ev in tr.iter_events():
-        kind = ev.get("kind")
-        if kind == "funding_received":
+        event = ev.get("event")
+        if event == "peer_send":
+            counts[ev["msg"]["type"]] += 1
+        elif event == "peer_deliver":
+            counts["delivered"] += 1
+        elif event == "peer_drop":
+            counts["dropped"] += 1
+        elif event == "submit":
+            counts["submits"] += 1
+        elif ev.get("kind") == "funding_received":
             inflow += int(ev["amount"])
-        elif kind == "settlement_executed":
+        elif ev.get("kind") == "settlement_executed":
             settlement = ev
     if settlement is None:
-        return True
+        return counts, True
     outflow = sum(int(a) for _, a in settlement["partial_refunds"]) + sum(
         int(a) for _, a in settlement["full_refunds"]
     )
-    return inflow == int(settlement["retained"]) + outflow
+    return counts, inflow == int(settlement["retained"]) + outflow
 
 
 # -- verification ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ADDRESS_LEN = 20
 TX_ID_LEN = 32
@@ -149,26 +149,19 @@ class Ledger:
     policy and executes at most once per auction id.
     """
 
-    def __init__(self, policy=None):
-        self._policy = policy
+    def __init__(self):
+        self._policy = None
         self._queues: dict[int, list[Contribution]] = {}
         self._blocks: list[Block] = []
         self._seq = 0
         self.balance = 0
         self.events: list[LedgerEvent] = []
-        self.nft_holdings: dict[bytes, int] = {}
         self.settled: dict[bytes, SettlementReceipt] = {}
-        self.funding_total = 0
-        self.refund_total = 0
 
     # -- wallet policy ----------------------------------------------------
 
     def register_wallet(self, policy) -> None:
         self._policy = policy
-
-    @property
-    def policy(self):
-        return self._policy
 
     # -- chain growth ------------------------------------------------------
 
@@ -210,7 +203,6 @@ class Ledger:
         self._blocks.append(block)
         for i, tx in enumerate(txs):
             self.balance += tx.amount
-            self.funding_total += tx.amount
             self._emit(FUNDING_RECEIVED, height, i, tx)
         self._emit(BLOCK_SEALED, height, len(txs), block)
         return block
@@ -221,12 +213,6 @@ class Ledger:
         return ev
 
     # -- reads --------------------------------------------------------------
-
-    def sealed_contributions(self) -> list[Contribution]:
-        out = []
-        for block in self._blocks:
-            out.extend(block.txs)
-        return out
 
     def contributions_in_window(self, window: FundingWindow) -> list[Contribution]:
         """All sealed contributions with height inside the window, in ledger order."""
@@ -274,9 +260,6 @@ class Ledger:
             self.seal_block()
         height = self.next_height
         self.balance -= outflow
-        self.refund_total += outflow
-        for addr, count in tx.mints:
-            self.nft_holdings[addr] = self.nft_holdings.get(addr, 0) + count
         receipt = SettlementReceipt(
             auction_id=tx.auction_id,
             digest=digest,

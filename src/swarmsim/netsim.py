@@ -8,8 +8,10 @@ agents always hold identical views.
 
 Faults are wrappers around the unmodified honest state machine: they crash
 it, mute it, feed it a perturbed ledger view, or tamper with its outgoing
-proposals and published attestation. Honest agents' code is never touched,
-which keeps the safety claims about the honest machine auditable.
+proposals and published attestation. Each fault kind overrides one hook of
+a shared base, `_up` (is the agent running?) or `_filter` (rewrite its
+actions), or one handler. Honest agents' code is never touched, which keeps
+the safety claims about the honest machine auditable.
 """
 
 from __future__ import annotations
@@ -106,60 +108,55 @@ class FaultSpec:
 # -- byzantine wrappers --------------------------------------------------------
 
 
-class _Wrapper:
-    """Delegates everything not explicitly overridden to the wrapped agent."""
+class _Fault:
+    """Runs the wrapped honest agent through two hooks, both identity here.
 
-    def __init__(self, inner: Agent):
+    Every handler reaches the inner agent only while `_up(now)` holds and
+    passes its actions through `_filter`. Anything not overridden (`attest`,
+    `phase`, `round`, ...) is read from the inner agent.
+    """
+
+    def __init__(self, inner: Agent, spec: FaultSpec):
         self.inner = inner
+        self.spec = spec
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
+    def _up(self, now: int) -> bool:
+        return True
 
-class CrashFault(_Wrapper):
+    def _filter(self, actions: list[AgentAction]) -> list[AgentAction]:
+        return actions
+
+    def observe_attestations(self, triples):
+        return self._filter(self.inner.observe_attestations(triples)) if self._up(0) else []
+
+    def on_ledger_event(self, ev, now):
+        return self._filter(self.inner.on_ledger_event(ev, now)) if self._up(now) else []
+
+    def on_peer_message(self, env, now):
+        return self._filter(self.inner.on_peer_message(env, now)) if self._up(now) else []
+
+    def on_timer(self, now):
+        return self._filter(self.inner.on_timer(now)) if self._up(now) else []
+
+
+class CrashFault(_Fault):
     """Stops processing entirely at `at_time`; no recovery."""
 
-    def __init__(self, inner: Agent, at_time: int):
-        super().__init__(inner)
-        self.at_time = at_time
-
     def _up(self, now: int) -> bool:
-        return now < self.at_time
-
-    def observe_attestations(self, triples):
-        return self.inner.observe_attestations(triples) if self._up(0) else []
-
-    def on_ledger_event(self, ev, now):
-        return self.inner.on_ledger_event(ev, now) if self._up(now) else []
-
-    def on_peer_message(self, env, now):
-        return self.inner.on_peer_message(env, now) if self._up(now) else []
-
-    def on_timer(self, now):
-        return self.inner.on_timer(now) if self._up(now) else []
+        return now < self.spec.at_time
 
 
-class SilentFault(_Wrapper):
+class SilentFault(_Fault):
     """Processes normally but all outgoing peer messages vanish."""
 
-    @staticmethod
-    def _mute(actions):
+    def _filter(self, actions):
         return [a for a in actions if not isinstance(a, SendPeer)]
 
-    def observe_attestations(self, triples):
-        return self._mute(self.inner.observe_attestations(triples))
 
-    def on_ledger_event(self, ev, now):
-        return self._mute(self.inner.on_ledger_event(ev, now))
-
-    def on_peer_message(self, env, now):
-        return self._mute(self.inner.on_peer_message(env, now))
-
-    def on_timer(self, now):
-        return self._mute(self.inner.on_timer(now))
-
-
-class WrongRootFault(_Wrapper):
+class WrongRootFault(_Fault):
     """Feeds the honest machine a ledger view with one in-window amount +1.
 
     Events are buffered until the funding window seals, the victim
@@ -168,9 +165,8 @@ class WrongRootFault(_Wrapper):
     perturb_seed derive identical wrong roots and will validate each other.
     """
 
-    def __init__(self, inner: Agent, perturb_seed: int):
-        super().__init__(inner)
-        self.perturb_seed = perturb_seed
+    def __init__(self, inner: Agent, spec: FaultSpec):
+        super().__init__(inner, spec)
         self._buffer: list[LedgerEvent] = []
         self._released = False
 
@@ -186,7 +182,7 @@ class WrongRootFault(_Wrapper):
                 if e.kind == FUNDING_RECEIVED and window.contains(e.height)
             ]
             if in_window:
-                victim = in_window[self.perturb_seed % len(in_window)]
+                victim = in_window[self.spec.perturb_seed % len(in_window)]
                 tx = events[victim].payload
                 events[victim] = dataclasses.replace(
                     events[victim],
@@ -202,10 +198,10 @@ class WrongRootFault(_Wrapper):
         return []
 
 
-class EquivocateFault(_Wrapper):
+class EquivocateFault(_Fault):
     """Sends a different root to every peer in the same proposal round."""
 
-    def _twist(self, actions):
+    def _filter(self, actions):
         out = []
         for act in actions:
             if isinstance(act, SendPeer) and isinstance(act.envelope.msg, Propose):
@@ -213,32 +209,15 @@ class EquivocateFault(_Wrapper):
                 root = hashlib.sha256(
                     b"swarmsim/equivocate/v1" + p.root + struct.pack(">I", act.to)
                 ).digest()
-                msg = dataclasses.replace(p, root=root)
                 # A subverted agent can feed anything to its own key, so the
                 # transport signature stays valid; it still cannot forge peers'.
-                sig = self.inner.enclave.sign(consensus.transport_digest(msg))
-                env = Envelope(
-                    sender=act.envelope.sender, msg=msg, transport_sig=sig
-                )
-                out.append(SendPeer(to=act.to, envelope=env))
-            else:
-                out.append(act)
+                env = self.inner._seal(dataclasses.replace(p, root=root))
+                act = SendPeer(to=act.to, envelope=env)
+            out.append(act)
         return out
 
-    def observe_attestations(self, triples):
-        return self._twist(self.inner.observe_attestations(triples))
 
-    def on_ledger_event(self, ev, now):
-        return self._twist(self.inner.on_ledger_event(ev, now))
-
-    def on_peer_message(self, env, now):
-        return self._twist(self.inner.on_peer_message(env, now))
-
-    def on_timer(self, now):
-        return self._twist(self.inner.on_timer(now))
-
-
-class BadAttestationFault(_Wrapper):
+class BadAttestationFault(_Fault):
     """Publishes a tampered measurement with a self-consistent quote."""
 
     def attest(self) -> AttestationTriple:
@@ -255,18 +234,17 @@ class BadAttestationFault(_Wrapper):
         )
 
 
+_FAULT_CLASSES = {
+    FAULT_CRASH: CrashFault,
+    FAULT_SILENT: SilentFault,
+    FAULT_WRONG_ROOT: WrongRootFault,
+    FAULT_EQUIVOCATE: EquivocateFault,
+    FAULT_BAD_ATTESTATION: BadAttestationFault,
+}
+
+
 def apply_fault(agent: Agent, fault: FaultSpec):
-    if fault.kind == FAULT_CRASH:
-        return CrashFault(agent, fault.at_time)
-    if fault.kind == FAULT_SILENT:
-        return SilentFault(agent)
-    if fault.kind == FAULT_WRONG_ROOT:
-        return WrongRootFault(agent, fault.perturb_seed)
-    if fault.kind == FAULT_EQUIVOCATE:
-        return EquivocateFault(agent)
-    if fault.kind == FAULT_BAD_ATTESTATION:
-        return BadAttestationFault(agent)
-    raise ValueError(f"unknown fault kind {fault.kind!r}")
+    return _FAULT_CLASSES[fault.kind](agent, fault)
 
 
 # -- transcript line shapes -----------------------------------------------------

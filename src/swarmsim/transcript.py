@@ -30,7 +30,7 @@ class Transcript:
         return "".join(line + "\n" for line in self.lines).encode("utf-8")
 
     def body_hash(self) -> bytes:
-        return hashlib.sha256(self.body_bytes()).digest()
+        return hash_body_lines(self.lines)
 
     def text(self) -> str:
         return canonical_json(self.header) + "\n" + self.body_bytes().decode("utf-8")

@@ -21,6 +21,11 @@ def test_gen_emits_valid_scenario(capsys):
     assert data["bidders"]["generator"]["count"] == 6
 
 
+def test_gen_defaults_come_from_build_scenario_dict(capsys):
+    assert cli.main(["gen"]) == 0
+    assert capsys.readouterr().out == json.dumps(build_scenario_dict(), indent=2) + "\n"
+
+
 def test_gen_writes_file(tmp_path):
     out = (tmp_path / "s.json").as_posix()
     assert cli.main(["gen", "--out", out]) == 0
