@@ -417,32 +417,25 @@ class Simulation:
                 "sig": env.transport_sig.hex(),
             }
         )
+        # the random drop is drawn only for links no partition cuts
         if any(p.separates(frm, to, now) for p in self.net.partitions):
-            self.transcript.add(
-                {
-                    "t": now,
-                    "event": "peer_drop",
-                    "from": frm,
-                    "to": to,
-                    "type": body["type"],
-                    "cause": "partition",
-                }
-            )
+            cause = "partition"
+        elif self._rng.random() < self.net.drop_rate:
+            cause = "random"
+        else:
+            delay = self._rng.randint(self.net.delay_min, self.net.delay_max)
+            self._push(now + delay, ("deliver", frm, to, env))
             return
-        if self._rng.random() < self.net.drop_rate:
-            self.transcript.add(
-                {
-                    "t": now,
-                    "event": "peer_drop",
-                    "from": frm,
-                    "to": to,
-                    "type": body["type"],
-                    "cause": "random",
-                }
-            )
-            return
-        delay = self._rng.randint(self.net.delay_min, self.net.delay_max)
-        self._push(now + delay, ("deliver", frm, to, env))
+        self.transcript.add(
+            {
+                "t": now,
+                "event": "peer_drop",
+                "from": frm,
+                "to": to,
+                "type": body["type"],
+                "cause": cause,
+            }
+        )
 
     def _submit(self, agent_index: int, act: SubmitSettlement, now: int) -> None:
         self.transcript.add(

@@ -26,14 +26,11 @@ class Transcript:
     def add(self, obj: dict) -> None:
         self.lines.append(canonical_json(obj))
 
-    def body_bytes(self) -> bytes:
-        return "".join(line + "\n" for line in self.lines).encode("utf-8")
-
     def body_hash(self) -> bytes:
         return hash_body_lines(self.lines)
 
     def text(self) -> str:
-        return canonical_json(self.header) + "\n" + self.body_bytes().decode("utf-8")
+        return "".join(line + "\n" for line in [canonical_json(self.header), *self.lines])
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
