@@ -11,6 +11,7 @@ the stored transcript line by line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -130,9 +131,11 @@ def _parse_amount(value, path: str, problems: list[str]) -> int:
         if not value.isdecimal():
             problems.append(f"{path}: amount string must be decimal digits")
             return 0
-        # 32 significant digits already exceed 2^100, and cutting there keeps
-        # long strings under int()'s digit limit
-        value = int(value.lstrip("0")[:32] or "0")
+        try:
+            value = int(value)
+        except ValueError:  # more digits than int() reads
+            problems.append(f"{path}: amount must be in [1, 2^100]")
+            return 0
     if not isinstance(value, int):
         problems.append(f"{path}: amount must be an integer or decimal string")
         return 0
@@ -289,7 +292,9 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
 
     bidders, sampler = [], None
     src = data.get("bidders")
-    if (list(src) if isinstance(src, dict) else None) not in (["explicit"], ["generator"]):
+    if not isinstance(src, dict) or len(src) != 1 or (
+        next(iter(src)) not in ("explicit", "generator")
+    ):
         problems.append('bidders: must be an object with exactly one of "explicit"/"generator"')
     elif "explicit" in src:
         for path, b in _get_objs(src, "explicit", "bidders.explicit", problems):
@@ -510,8 +515,8 @@ class RunReport:
 def run_scenario_dict(data: dict, raw: bytes | None = None) -> tuple[Transcript, RunReport]:
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
-    tr, *run = _run(parse_scenario(data, raw))
-    return tr, _build_report(tr, *run)
+    tr, _, report = _run(parse_scenario(data, raw))
+    return tr, report()
 
 
 def run_scenario(path: str) -> tuple[Transcript, RunReport]:
@@ -520,7 +525,7 @@ def run_scenario(path: str) -> tuple[Transcript, RunReport]:
 
 def _run(sc: Scenario) -> tuple:
     """Execute to quiescence and classify. Returns the transcript, the outcome,
-    and the rest of what `_build_report` reads, in its argument order."""
+    and a call that builds the run report."""
     keys = [agent_signing_key(sc.seed, i) for i in range(sc.n)]
     policy = MultisigPolicy(
         agent_keys=tuple(wallet.verifying_key_for(k) for k in keys), m=sc.m
@@ -579,9 +584,9 @@ def _run(sc: Scenario) -> tuple:
             "max_time_exceeded": sim.max_time_exceeded,
         }
     )
-    return (
-        tr, outcome, ledger, agents, oracle_tx, oracle_price, oracle_digest,
-        sim.max_time_exceeded,
+    return tr, outcome, functools.partial(
+        _build_report, tr, outcome, ledger, agents, oracle_tx, oracle_price,
+        oracle_digest, sim.max_time_exceeded,
     )
 
 
@@ -706,18 +711,18 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
     if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:
         return VerifyResult(False, "header_mismatch")
 
-    fresh_tr, outcome = _run(sc)[:2]
+    fresh_tr, outcome = _run(sc)[:2]  # drops the report call and what it holds
     fresh_lines = fresh_tr.lines
     for idx in range(max(len(body), len(fresh_lines))):
-        got = body[idx] if idx < len(body) else "<missing line>"
-        expected = fresh_lines[idx] if idx < len(fresh_lines) else "<missing line>"
+        got = body[idx] if idx < len(body) else None
+        expected = fresh_lines[idx] if idx < len(fresh_lines) else None
         if got != expected:
             return VerifyResult(
                 False,
                 "divergence",
                 line_number=idx + 2,  # 1-based, after the header line
-                got=got,
-                expected=expected,
+                got="<missing line>" if got is None else got,
+                expected="<missing line>" if expected is None else expected,
             )
     return VerifyResult(True, "ok", outcome=outcome)
 

@@ -261,6 +261,17 @@ def test_verify_rejects_truncated_transcript(tmp_path):
     assert result.got == "<missing line>"
 
 
+def test_verify_rejects_an_extra_line_reading_missing_line(tmp_path):
+    spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
+    tr, _ = run_scenario(spath.as_posix())
+    tpath = tmp_path / "t.jsonl"
+    tpath.write_text(tr.text() + "<missing line>\n", encoding="utf-8")
+    result = verify_transcript(tpath.as_posix(), spath.as_posix())
+    assert not result.accepted and result.reason == "divergence"
+    assert result.got == "<missing line>" and result.expected == "<missing line>"
+    assert result.line_number == len(tr.lines) + 2
+
+
 def test_verify_unsupported_schema_raises(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     tr, _ = run_scenario(spath.as_posix())

@@ -299,8 +299,21 @@ def test_list_fields_reject_strings_and_objects(path, value):
 
 
 def test_decimal_amounts_keep_leading_zeros_and_unicode_digits():
-    data = edited(EXPLICIT, {AMOUNT: "0" * 5000 + "9", "bidders.explicit.1.amount": "٣"})
+    data = edited(EXPLICIT, {AMOUNT: "0" * 40 + "9", "bidders.explicit.1.amount": "٣"})
     assert [b.amount for b in parse_scenario(data, b"").bidders] == [9, 3]
+
+
+def test_non_ascii_leading_zeros_keep_the_exact_amount():
+    data = edited(
+        EXPLICIT, {AMOUNT: "٠" * 10 + "1" + "0" * 30, "bidders.explicit.1.amount": "٠" * 40 + "5"}
+    )
+    assert [b.amount for b in parse_scenario(data, b"").bidders] == [10**30, 5]
+
+
+def test_amount_string_past_the_int_digit_limit_is_out_of_range():
+    assert problems_of(edited(EXPLICIT, {AMOUNT: "0" * 5000 + "9"})) == [
+        "bidders.explicit[0].amount: amount must be in [1, 2^100]"
+    ]
 
 
 @pytest.mark.parametrize(
