@@ -17,7 +17,7 @@ run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import auction, commitment, consensus, wallet
 from .auction import AuctionConfig, ClearingResult, SettlementTx
@@ -174,6 +174,7 @@ class Agent:
         self.root: bytes | None = None
         self.tx: SettlementTx | None = None
         self.digest: bytes | None = None
+        self._encoding: bytes | None = None  # of self.tx, kept from the first refresh on
         self.round = 0
         self.roster: tuple[int, ...] = ()
         self.signed_digest: bytes | None = None
@@ -280,10 +281,16 @@ class Agent:
         if self.phase in (PHASE_CROSS_VALIDATING, PHASE_SIGNING) and not (
             self.auction_cfg.window.contains(tx.block_height)
         ):
-            # Out-of-window funds change the refund set (never the root):
-            # refresh the settlement so later proposals and acks cover them.
+            # Out-of-window funds only append a full refund (never move the
+            # root): splice it in, no re-clear, so later acks cover it.
             old = self.digest
-            self._recompute()
+            late = self.result.late_contributions + (tx,)
+            self.result = replace(self.result, late_contributions=late)
+            encoding = self._encoding or auction.encode_settlement(self.tx)
+            self.tx, self._encoding = auction.append_full_refund(
+                self.tx, encoding, (tx.sender, tx.amount)
+            )
+            self.digest = hashlib.sha256(self._encoding).digest()
             return [
                 self._log(
                     "refresh",
@@ -393,12 +400,13 @@ class Agent:
     def _handle_nack(self, sender: int, nk: Nack) -> list[AgentAction]:
         # Debugging fallback for conflicts: log our own full-list summary so
         # the mismatch can be audited offline against the peer's.
+        r = self.result
         detail = {
             "sender": sender,
             "round": nk.round_index,
             "reason": nk.reason,
             "own_root": self.root.hex() if self.root else None,
-            "own_bid_count": len(self.sorted_bids()) if self.result else 0,
+            "own_bid_count": len(r.winners) + len(r.losers) if r else 0,
         }
         return [self._log("nack_received", **detail)]
 
@@ -411,6 +419,7 @@ class Agent:
         self.root = commitment.bid_list_root(ordered)
         self.tx = auction.build_settlement(self.auction_cfg, self.result)
         self.digest = wallet.settlement_digest(self.tx)
+        self._encoding = None
 
     def _recheck(self) -> list[AgentAction]:
         """Conflict path: re-derive everything from the accumulated ledger view."""
@@ -505,9 +514,3 @@ class Agent:
 
     def _log(self, event: str, **detail) -> Log:
         return Log(phase=self.phase, event=event, detail=detail)
-
-    def sorted_bids(self) -> list:
-        """Canonical bid list behind the current root (debugging fallback)."""
-        if self.result is None:
-            return []
-        return list(self.result.winners) + list(self.result.losers)

@@ -11,7 +11,7 @@ settlement transactions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ledger import (
     AMOUNT_LIMIT,
@@ -188,6 +188,25 @@ def encode_settlement(tx: SettlementTx) -> bytes:
             out += encode_amount(amount)
     out += struct.pack(">Q", tx.nonce)
     return bytes(out)
+
+
+def append_full_refund(
+    tx: SettlementTx, encoding: bytes, entry: tuple[bytes, int]
+) -> tuple[SettlementTx, bytes]:
+    """`tx` with `entry` appended to its full refunds, and that tx's encoding.
+
+    `encoding` must be `encode_settlement(tx)`. The full-refund section is
+    last before the nonce, so the new bytes are a splice: the section's
+    count goes up by one and the entry goes in before the nonce.
+    """
+    addr, amount = entry
+    if len(addr) != 20:
+        raise ValueError("entry address must be 20 bytes")
+    n = len(tx.full_refunds)
+    at = len(encoding) - 8 - 36 * n - 4  # section 3's entry count
+    spliced = b"".join((encoding[:at], struct.pack(">I", n + 1), encoding[at + 4 : -8],
+                        addr, encode_amount(amount), encoding[-8:]))
+    return replace(tx, full_refunds=tx.full_refunds + (entry,)), spliced
 
 
 def settlement_totals(tx: SettlementTx) -> tuple[int, int]:

@@ -225,9 +225,9 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     expected = expected_measurement_for()
     exp = (agents or {}).get("expected_measurement", "auto")
     if isinstance(exp, str) and len(exp) == 64:
-        try:
+        if re.fullmatch("[0-9a-fA-F]{64}", exp):
             expected = bytes.fromhex(exp)
-        except ValueError:
+        else:
             problems.append("agents.expected_measurement: not valid hex")
     elif exp != "auto":
         problems.append('agents.expected_measurement: must be "auto" or 64 hex chars')

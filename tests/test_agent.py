@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim import auction, commitment, consensus, wallet
 from swarmsim.agent import (
@@ -25,7 +27,7 @@ from swarmsim.agent import (
 )
 from swarmsim.auction import AuctionConfig
 from swarmsim.consensus import Ack, AbortMsg, Nack, Propose, RoundConfig
-from swarmsim.harness import agent_signing_key
+from swarmsim.harness import agent_signing_key, build_scenario_dict, run_scenario_dict
 from swarmsim.ledger import (
     FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
@@ -403,6 +405,71 @@ def test_signing_guard_refuses_second_digest():
     assert agents[1].digest != first
     with pytest.raises(SigningGuardViolation):
         agents[1]._sign_current()
+
+
+fundings = st.tuples(
+    st.integers(min_value=0, max_value=5),  # sender
+    st.one_of(
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=(1 << 100) - 3, max_value=1 << 100),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    view=st.lists(st.tuples(fundings, st.integers(min_value=0, max_value=2)), max_size=8),
+    late=st.lists(fundings, min_size=1, max_size=4),
+    n_items=st.integers(min_value=1, max_value=3),
+    recheck_after=st.integers(min_value=0, max_value=4),
+)
+def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
+    view, late, n_items, recheck_after
+):
+    # a conflict re-check between late fundings re-clears the view in the
+    # middle; the refreshes after it must start from what it built
+    agents, _, _, _ = make_world(n_items=n_items)
+    exchange_attestations(agents)
+    agent = agents[1]
+    led = Ledger()
+    heights = [h for _, h in view] + list(range(3, 3 + len(late)))
+    for (sender, amount), height in zip([f for f, _ in view] + late, heights):
+        led.submit_funding(bytes([sender + 1]) * 20, amount, height)
+    while led.next_height < 3 + len(late):
+        led.seal_block()
+    actions = []
+    for ev in led.events:
+        actions += agent.on_ledger_event(ev, 0)
+        if ev.kind == FUNDING_RECEIVED and ev.height == 3 + recheck_after:
+            assert logs(agent._recheck(), "recheck")
+    refreshes = logs(actions, "refresh")
+    assert len(refreshes) == len(late)
+    assert refreshes[-1].detail["digest"] == agent.digest.hex()
+    after = (agent.tx, agent.digest, agent.root, agent.result)
+    agent._recompute()
+    assert after == (agent.tx, agent.digest, agent.root, agent.result)
+
+
+def test_late_fundings_clear_the_auction_once_per_agent(monkeypatch):
+    data = build_scenario_dict(delay=(2, 3))
+    data["bidders"] = {
+        "explicit": [
+            {"address": f"{i:02x}" * 20, "amount": 100 + 37 * i, "height": height}
+            for i, height in enumerate([1, 2, 3, 4, 5, 5, 6, 6, 6, 7, 7], start=1)
+        ]
+    }
+    calls = []
+    aggregate = auction.aggregate
+
+    def counting(*args):
+        calls.append(1)
+        return aggregate(*args)
+
+    monkeypatch.setattr(auction, "aggregate", counting)
+    tr, report = run_scenario_dict(data)
+    assert report.outcome == "SETTLED_CORRECT"
+    assert sum('"event":"refresh"' in line for line in tr.lines) == 3 * 5
+    assert len(calls) == 3
 
 
 def test_handlers_are_deterministic():

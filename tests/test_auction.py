@@ -12,6 +12,7 @@ from swarmsim.auction import (
     DuplicateBidder,
     SettlementTx,
     aggregate,
+    append_full_refund,
     build_settlement,
     canonical_sort,
     compute_clearing,
@@ -221,6 +222,67 @@ def test_encode_settlement_is_injective_on_section_moves():
         auction_id=b"\x07" * 32, mints=(), partial_refunds=(), full_refunds=((A, 2),)
     )
     assert encode_settlement(base) != encode_settlement(moved)
+
+
+# small amounts (a zero refund still encodes) and amounts around 2^100,
+# the largest single funding
+entry_amounts = st.one_of(
+    st.integers(min_value=0, max_value=1 << 20),
+    st.integers(min_value=(1 << 100) - 5, max_value=(1 << 100) + 5),
+)
+entries = st.lists(
+    st.tuples(st.binary(min_size=20, max_size=20), entry_amounts), max_size=6
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    auction_id=st.binary(min_size=32, max_size=32),
+    mints=st.lists(st.binary(min_size=20, max_size=20), max_size=4),
+    partial=entries,
+    full=entries,
+    entry=st.tuples(st.binary(min_size=20, max_size=20), entry_amounts),
+    nonce=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_append_full_refund_matches_a_fresh_encoding(
+    auction_id, mints, partial, full, entry, nonce
+):
+    tx = SettlementTx(
+        auction_id=auction_id,
+        mints=tuple((m, 1) for m in mints),
+        partial_refunds=partial,
+        full_refunds=full,
+        nonce=nonce,
+    )
+    new_tx, encoding = append_full_refund(tx, encode_settlement(tx), entry)
+    assert new_tx == SettlementTx(auction_id, tx.mints, partial, full + (entry,), nonce)
+    assert encoding == encode_settlement(new_tx)
+
+
+def test_append_full_refund_chains():
+    tx = build_settlement(cfg(1), clear(1, [contrib(A, 9, 1, 1), contrib(B, 4, 1, 2)]))
+    encoding = encode_settlement(tx)
+    for entry in ((C, 3), (D, 1 << 100), (A, 1)):
+        tx, encoding = append_full_refund(tx, encoding, entry)
+    assert tx.full_refunds == ((B, 4), (C, 3), (D, 1 << 100), (A, 1))
+    assert encoding == encode_settlement(tx)
+
+
+@pytest.mark.parametrize(
+    "entry, exc",
+    [
+        ((b"\xaa" * 19, 1), ValueError),
+        ((A, -1), ValueError),
+        ((A, True), ValueError),
+        ((A, AMOUNT_LIMIT), ArithmeticOverflow),
+    ],
+)
+def test_append_full_refund_checks_the_entry_like_encode_settlement(entry, exc):
+    tx = SettlementTx(auction_id=b"\x07" * 32, mints=(), partial_refunds=(), full_refunds=())
+    with pytest.raises(exc):
+        encode_settlement(SettlementTx(tx.auction_id, (), (), (entry,)))
+    with pytest.raises(exc):
+        append_full_refund(tx, encode_settlement(tx), entry)
 
 
 amounts_strategy = st.lists(

@@ -27,9 +27,9 @@ def test_gen_defaults_come_from_build_scenario_dict(capsys):
 
 
 def test_gen_writes_file(tmp_path):
-    out = (tmp_path / "s.json").as_posix()
-    assert cli.main(["gen", "--out", out]) == 0
-    assert json.loads(open(out).read())["agents"] == {
+    out = tmp_path / "s.json"
+    assert cli.main(["gen", "--out", out.as_posix()]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["agents"] == {
         "n": 3,
         "m": 2,
         "faults": [],
@@ -48,14 +48,16 @@ def test_gen_rejects_bad_window(capsys):
 
 def test_run_happy_path(tmp_path, capsys):
     spath = write(tmp_path, build_scenario_dict(seed=11))
-    tpath = (tmp_path / "t.jsonl").as_posix()
-    rpath = (tmp_path / "r.json").as_posix()
-    code = cli.main(["run", spath, "--transcript", tpath, "--report", rpath])
+    tpath = tmp_path / "t.jsonl"
+    rpath = tmp_path / "r.json"
+    code = cli.main(
+        ["run", spath, "--transcript", tpath.as_posix(), "--report", rpath.as_posix()]
+    )
     assert code == 0
     out = capsys.readouterr().out
     assert "outcome: SETTLED_CORRECT" in out
-    assert json.loads(open(rpath).read())["outcome"] == "SETTLED_CORRECT"
-    first = open(tpath).readline()
+    assert json.loads(rpath.read_text(encoding="utf-8"))["outcome"] == "SETTLED_CORRECT"
+    first = tpath.read_text(encoding="utf-8").splitlines()[0]
     assert json.loads(first)["schema_version"] == 1
 
 
@@ -100,14 +102,15 @@ def test_stuck_exit_code(tmp_path):
 
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     spath = write(tmp_path, build_scenario_dict(seed=11))
-    tpath = (tmp_path / "t.jsonl").as_posix()
+    tfile = tmp_path / "t.jsonl"
+    tpath = tfile.as_posix()
     assert cli.main(["run", spath, "--transcript", tpath]) == 0
     assert cli.main(["verify", tpath, spath]) == 0
     assert "accept" in capsys.readouterr().out
 
-    lines = open(tpath).read().splitlines()
+    lines = tfile.read_text(encoding="utf-8").splitlines()
     lines[3] = lines[3].replace("{", '{"x":1,', 1)
-    open(tpath, "w").write("\n".join(lines) + "\n")
+    tfile.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(["verify", tpath, spath]) == 1
     out = capsys.readouterr().out
     assert "reject" in out and "line 4" in out

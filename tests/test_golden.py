@@ -4,8 +4,9 @@ Rerun determinism (acceptance criterion 4) only compares a run with itself.
 These pins compare a run with the bytes the code produced when they were
 recorded, so a refactor that shifts one transcript line fails here. Every
 fault kind, collusion, a lossy network, a partition with drops, and each
-non-settling outcome is covered. A deliberate change to transcript bytes
-needs a SCHEMA_VERSION bump and new pins.
+non-settling outcome is covered, and so is the post-window refresh that
+late fundings drive, with and without a wrong-root agent. A deliberate
+change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 """
 
 import pytest
@@ -18,6 +19,21 @@ def _partition_with_drops() -> dict:
     data["net"]["partitions"] = [
         {"from_time": 0, "to_time": 30, "side_a": [0], "side_b": [1, 2, 3]}
     ]
+    return data
+
+
+def _late_fundings(*faults: str) -> dict:
+    # window 1..5 and delay_min 2: one funding before the window, two after
+    # it (end+1, end+2) that every agent folds in as full refunds
+    data = build_scenario_dict(delay=(2, 3), faults=faults)
+    fundings = [(300, 0), (500, 1), (700, 2), (400, 3), (900, 4), (650, 5),
+                (820, 5), (250, 6), (480, 7)]
+    data["bidders"] = {
+        "explicit": [
+            {"address": f"{i:02x}" * 20, "amount": amount, "height": height}
+            for i, (amount, height) in enumerate(fundings, start=1)
+        ]
+    }
     return data
 
 
@@ -79,6 +95,16 @@ GOLDEN = {
         lambda: build_scenario_dict(threshold=3, faults=("1:silent",)),
         "f3a197618fd72ac42c7a230c6ea0250f38f70d8150f297ac4b245b2f3c6a0116",
         "ABORTED",
+    ),
+    "late_fundings": (
+        _late_fundings,
+        "7307b3b784c350b0442289bc4843add9e2cdbb03aa61c9414001e24e3609e273",
+        "SETTLED_CORRECT",
+    ),
+    "late_fundings_wrong_root": (
+        lambda: _late_fundings("0:wrong_root:5"),
+        "477abdd69c81412e57986f6ca08ca2e3f4e1c1dad0f5e831d6748cded8947c20",
+        "SETTLED_CORRECT",
     ),
     "stuck": (
         lambda: build_scenario_dict(max_time=6),

@@ -298,6 +298,19 @@ def test_list_fields_reject_strings_and_objects(path, value):
     assert problems_of(edited(GENERATED, {path: value})) == [f"{path}: must be a list"]
 
 
+@pytest.mark.parametrize("exp", ["aa " * 20 + "aaaa", "aa\n" * 20 + "aaaa", "aa" * 31 + "  "])
+def test_measurement_with_whitespace_is_not_valid_hex(exp):
+    # bytes.fromhex skips the whitespace and reads fewer than 32 bytes
+    assert problems_of(edited(GENERATED, {"agents.expected_measurement": exp})) == [
+        "agents.expected_measurement: not valid hex"
+    ]
+
+
+def test_measurement_hex_reads_as_32_bytes():
+    data = edited(GENERATED, {"agents.expected_measurement": "aB" * 32})
+    assert parse_scenario(data, b"").expected_measurement == b"\xab" * 32
+
+
 def test_decimal_amounts_keep_leading_zeros_and_unicode_digits():
     data = edited(EXPLICIT, {AMOUNT: "0" * 40 + "9", "bidders.explicit.1.amount": "٣"})
     assert [b.amount for b in parse_scenario(data, b"").bidders] == [9, 3]
