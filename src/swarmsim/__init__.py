@@ -14,16 +14,14 @@ from .harness import (
     OUTCOME_SETTLED_CORRECT,
     OUTCOME_SETTLED_FRAUDULENT,
     OUTCOME_STUCK,
-    InvalidFlags,
-    InvalidScenario,
     RunReport,
     SchemaMismatch,
     VerifyResult,
-    build_scenario_dict,
     run_scenario,
     run_scenario_dict,
     verify_transcript,
 )
+from .scenario import InvalidFlags, InvalidScenario, build_scenario_dict
 
 __version__ = "1.0.0"
 

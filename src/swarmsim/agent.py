@@ -43,6 +43,7 @@ from .ledger import (
 from .wallet import MultisigPolicy, SignatureShare
 
 AGENT_CODE_VERSION = "swarmsim-agent/1.0.0"
+AGENT_MEASUREMENT = hashlib.sha256(AGENT_CODE_VERSION.encode("utf-8")).digest()
 
 PHASE_MONITORING = "monitoring"
 PHASE_COMPUTING = "computing"
@@ -69,10 +70,6 @@ class AttestationTriple:
     attestation: bytes
 
 
-def expected_measurement_for(code_version: str = AGENT_CODE_VERSION) -> bytes:
-    return hashlib.sha256(code_version.encode("utf-8")).digest()
-
-
 def verify_attestation(triple: AttestationTriple, expected_measurement: bytes) -> bool:
     """Accept iff the quote binds (measurement, key) and the code is the expected one."""
     recomputed = hashlib.sha256(triple.measurement + triple.verifying_key).digest()
@@ -86,17 +83,13 @@ class EnclaveMock:
     repr so it cannot leak into logs or transcripts by accident.
     """
 
-    __slots__ = ("_signing_key", "code_version")
+    __slots__ = ("_signing_key",)
+    measurement = AGENT_MEASUREMENT
 
-    def __init__(self, signing_key: bytes, code_version: str = AGENT_CODE_VERSION):
+    def __init__(self, signing_key: bytes):
         if len(signing_key) != wallet.KEY_LEN:
             raise ValueError(f"signing key must be {wallet.KEY_LEN} bytes")
         self._signing_key = signing_key
-        self.code_version = code_version
-
-    @property
-    def measurement(self) -> bytes:
-        return expected_measurement_for(self.code_version)
 
     @property
     def verifying_key(self) -> bytes:
@@ -115,7 +108,7 @@ class EnclaveMock:
         return wallet.sign(self._signing_key, digest)
 
     def __repr__(self) -> str:
-        return f"EnclaveMock(code_version={self.code_version!r})"
+        return f"EnclaveMock(code_version={AGENT_CODE_VERSION!r})"
 
 
 # -- actions ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import harness
+from . import harness, scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         tr, report = harness.run_scenario(args.scenario)
-    except harness.InvalidScenario as exc:
-        for problem in exc.problems:
-            print(f"invalid scenario: {problem}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
@@ -105,10 +101,6 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         result = harness.verify_transcript(args.transcript, args.scenario)
-    except harness.InvalidScenario as exc:
-        for problem in exc.problems:
-            print(f"invalid scenario: {problem}", file=sys.stderr)
-        return 1
     except harness.SchemaMismatch as exc:
         print(f"schema mismatch: {exc}", file=sys.stderr)
         return 1
@@ -131,7 +123,7 @@ def _pair(text: str, flag: str) -> tuple[int, int]:
     try:
         a, b = (int(p) for p in parts)
     except ValueError:
-        raise harness.InvalidFlags(
+        raise scenario.InvalidFlags(
             f"{flag}: expected two comma-separated integers"
         ) from None
     return a, b
@@ -145,8 +137,8 @@ def _cmd_gen(args) -> int:
                 flags[name] = _pair(flags[name], f"--{name}")
         if "fault" in flags:
             flags["faults"] = tuple(flags.pop("fault"))
-        data = harness.build_scenario_dict(**flags)
-    except harness.InvalidFlags as exc:
+        data = scenario.build_scenario_dict(**flags)
+    except scenario.InvalidFlags as exc:
         print(f"invalid flags: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(data, indent=2) + "\n"
@@ -165,11 +157,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # --help exits 0, usage errors exit 1; surface either as a return
         return int(exc.code or 0)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_gen(args)
+    command = {"run": _cmd_run, "verify": _cmd_verify, "gen": _cmd_gen}[args.command]
+    try:
+        return command(args)
+    except scenario.InvalidScenario as exc:
+        for problem in exc.problems:
+            print(f"invalid scenario: {problem}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

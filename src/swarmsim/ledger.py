@@ -247,9 +247,9 @@ class Ledger:
         if not verdict.accepted:
             raise BadSignatureBundle(f"bundle rejected: {verdict.reason}")
 
-        outflow = sum(a for _, a in tx.partial_refunds) + sum(
-            a for _, a in tx.full_refunds
-        )
+        partial = sum(a for _, a in tx.partial_refunds)
+        full = sum(a for _, a in tx.full_refunds)
+        outflow = partial + full
         if outflow > self.balance:
             raise InsufficientBalance(
                 f"refund outflow {outflow} exceeds wallet balance {self.balance}"
@@ -266,8 +266,8 @@ class Ledger:
             height=height,
             index=0,
             mint_count=len(tx.mints),
-            partial_refund_total=sum(a for _, a in tx.partial_refunds),
-            full_refund_total=sum(a for _, a in tx.full_refunds),
+            partial_refund_total=partial,
+            full_refund_total=full,
             retained_balance=self.balance,
             tx=tx,
         )

@@ -14,13 +14,9 @@ import time
 from swarmsim import auction, cli, commitment, harness, wallet
 from swarmsim.auction import AuctionConfig
 from swarmsim.commitment import bid_list_root, encode_bid_leaf, merkle_root, prove, verify_inclusion
-from swarmsim.harness import (
-    agent_signing_key,
-    build_scenario_dict,
-    oracle_from_contributions,
-    run_scenario_dict,
-)
+from swarmsim.harness import oracle_from_contributions, run_scenario_dict
 from swarmsim.ledger import Contribution, FundingWindow
+from swarmsim.scenario import agent_signing_key, build_scenario_dict
 from swarmsim.wallet import MultisigPolicy, SignatureShare, verify_bundle, verifying_key_for
 
 FAULT_KINDS = ("crash", "silent", "wrong_root", "equivocate", "bad_attestation")

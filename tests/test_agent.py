@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from swarmsim import auction, commitment, consensus, wallet
 from swarmsim.agent import (
+    AGENT_MEASUREMENT,
     PHASE_CROSS_VALIDATING,
     PHASE_DONE,
     PHASE_MONITORING,
@@ -22,12 +23,11 @@ from swarmsim.agent import (
     SetTimer,
     SigningGuardViolation,
     SubmitSettlement,
-    expected_measurement_for,
     verify_attestation,
 )
 from swarmsim.auction import AuctionConfig
 from swarmsim.consensus import Ack, AbortMsg, Nack, Propose, RoundConfig
-from swarmsim.harness import agent_signing_key, build_scenario_dict, run_scenario_dict
+from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
     FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
@@ -37,6 +37,7 @@ from swarmsim.ledger import (
     LedgerEvent,
     SettlementReceipt,
 )
+from swarmsim.scenario import agent_signing_key, build_scenario_dict
 from swarmsim.wallet import MultisigPolicy, SignatureShare
 
 A = b"\xaa" * 20
@@ -59,7 +60,7 @@ def make_world(n=3, m=2, n_items=2, r_max=3):
             policy=policy,
             auction_cfg=cfg,
             rounds=RoundConfig(r_max=r_max, round_timeout=10),
-            expected_measurement=expected_measurement_for(),
+            expected_measurement=AGENT_MEASUREMENT,
         )
         for i in range(n)
     ]
@@ -111,14 +112,14 @@ def logs(actions, event=None):
 def test_attestation_round_trip():
     agents, _, _, _ = make_world()
     triple = agents[0].attest()
-    assert verify_attestation(triple, expected_measurement_for())
+    assert verify_attestation(triple, AGENT_MEASUREMENT)
 
 
 def test_forged_attestation_quote_rejected():
     agents, _, _, _ = make_world()
     triple = agents[0].attest()
     forged = dataclasses.replace(triple, attestation=b"\x00" * 32)
-    assert not verify_attestation(forged, expected_measurement_for())
+    assert not verify_attestation(forged, AGENT_MEASUREMENT)
 
 
 def test_tampered_measurement_excluded_from_roster():

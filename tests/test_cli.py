@@ -5,7 +5,7 @@ import json
 import pytest
 
 from swarmsim import cli
-from swarmsim.harness import build_scenario_dict
+from swarmsim.scenario import build_scenario_dict
 
 
 def write(tmp_path, data, name="scenario.json"):

@@ -24,7 +24,7 @@ from swarmsim.consensus import (
     seal,
     transport_digest,
 )
-from swarmsim.harness import agent_signing_key
+from swarmsim.scenario import agent_signing_key
 from swarmsim.wallet import SignatureShare, sign, verifying_key_for
 
 KEY = agent_signing_key(5, 0)

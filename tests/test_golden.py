@@ -11,7 +11,8 @@ change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 
 import pytest
 
-from swarmsim.harness import build_scenario_dict, run_scenario_dict
+from swarmsim.harness import run_scenario_dict
+from swarmsim.scenario import build_scenario_dict
 
 
 def _partition_with_drops() -> dict:

@@ -7,20 +7,22 @@ import pytest
 
 from swarmsim import auction, harness
 from swarmsim.harness import (
-    InvalidFlags,
-    InvalidScenario,
     SchemaMismatch,
-    agent_signing_key,
-    bidder_address,
-    build_scenario_dict,
-    derive_auction_id,
     oracle_from_contributions,
-    parse_scenario,
     run_scenario,
     run_scenario_dict,
     verify_transcript,
 )
 from swarmsim.ledger import FundingWindow
+from swarmsim.scenario import (
+    InvalidFlags,
+    InvalidScenario,
+    agent_signing_key,
+    bidder_address,
+    build_scenario_dict,
+    derive_auction_id,
+    parse_scenario,
+)
 
 # frozen regression values for the stock scenario (seed 7, 12 bidders,
 # 4 items, 3 agents, threshold 2); any drift in population derivation,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim import auction, wallet
-from swarmsim.harness import agent_signing_key
+from swarmsim.scenario import agent_signing_key
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
     BLOCK_SEALED,

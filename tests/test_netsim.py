@@ -5,6 +5,7 @@ import json
 from swarmsim import harness
 from swarmsim.ledger import Ledger
 from swarmsim.netsim import NetConfig, Simulation
+from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
 
 
@@ -13,7 +14,7 @@ def run(data):
 
 
 def scenario(**kwargs):
-    return harness.build_scenario_dict(**kwargs)
+    return build_scenario_dict(**kwargs)
 
 
 def events(tr, name):

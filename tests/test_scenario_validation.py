@@ -16,14 +16,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmsim import cli
-from swarmsim.harness import (
+from swarmsim.netsim import FAULT_KINDS
+from swarmsim.scenario import (
     MAX_SINGLE_AMOUNT,
     InvalidScenario,
     build_scenario_dict,
     load_scenario,
     parse_scenario,
 )
-from swarmsim.netsim import FAULT_KINDS
 
 DELETE = object()
 

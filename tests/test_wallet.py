@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from swarmsim import wallet
 from swarmsim.auction import SettlementTx
-from swarmsim.harness import agent_signing_key
+from swarmsim.scenario import agent_signing_key
 from swarmsim.wallet import (
     DIGEST_LEN,
     KEY_LEN,
