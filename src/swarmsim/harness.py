@@ -337,7 +337,7 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
     data, raw_scn = load_scenario(scenario_path)
     try:
         header, body = load_lines(transcript_path)
-    except ValueError as exc:  # also json.JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
     if header.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(

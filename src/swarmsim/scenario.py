@@ -2,10 +2,11 @@
 
 A scenario file fully determines a run: bidder population (explicit or
 generated from the seed), agent count and faults, network behavior, and
-consensus knobs. parse_scenario checks every field, reports each problem,
-and resolves a generated population; build_scenario_dict assembles the
-scenario that `swarmsim gen` writes. Agent keys, bidder addresses and the
-auction id derive from the seed alone.
+consensus knobs. parse_scenario checks every field, reports each problem
+(an unknown key in any object the schema reads among them), and resolves a
+generated population; build_scenario_dict assembles the scenario that
+`swarmsim gen` writes. Agent keys, bidder addresses and the auction id
+derive from the seed alone.
 """
 
 from __future__ import annotations
@@ -138,25 +139,34 @@ def _get_int(data, key, path, problems, lo=None, hi=None, default=None):
     return v
 
 
-def _get_obj(data, key, path, problems, required=True):
-    """data[key] as an object, else a problem and None; an absent optional one is {}."""
+def _check_keys(obj: dict, prefix: str, known, problems) -> None:
+    if not obj.keys() <= known:
+        problems += [f"{prefix}{key}: unknown field" for key in obj if key not in known]
+
+
+def _get_obj(data, key, path, problems, known, required=True):
+    """data[key] as an object with only `known` keys, else a problem and None;
+    an absent optional one is {}."""
     if data is None:
         return None
     value = data.get(key) if required else data.get(key, {})
     if not isinstance(value, dict):
         problems.append(f"{path}: required object" if required else f"{path}: must be an object")
         return None
+    _check_keys(value, f"{path}.", known, problems)
     return value
 
 
-def _get_objs(data, key, path, problems):
-    """Yield (item path, item) for each object in the list data[key]; absent is empty."""
+def _get_objs(data, key, path, problems, known):
+    """Yield (item path, item) for each object in the list data[key], reporting
+    its keys outside `known`; absent is empty."""
     items = [] if data is None else data.get(key, [])
     if not isinstance(items, list):
         problems.append(f"{path}: must be a list")
         items = []
     for i, item in enumerate(items):
         if isinstance(item, dict):
+            _check_keys(item, f"{path}[{i}].", known, problems)
             yield f"{path}[{i}]", item
         else:
             problems.append(f"{path}[{i}]: must be an object")
@@ -171,20 +181,23 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     """
     if not isinstance(data, dict):
         raise InvalidScenario(["scenario: must be a JSON object"])
+    problems: list[str] = []
     known = {"seed", "auction", "bidders", "agents", "net", "consensus", "max_time"}
-    problems = [f"{key}: unknown field" for key in data if key not in known]
+    _check_keys(data, "", known, problems)
     seed = _get_int(data, "seed", "scenario", problems, lo=0, hi=(1 << 64) - 1)
 
-    auction = _get_obj(data, "auction", "auction", problems)
+    auction = _get_obj(data, "auction", "auction", problems, {"n_items", "window"})
     n_items = _get_int(auction, "n_items", "auction", problems, lo=1)
-    win = _get_obj(auction, "window", "auction.window", problems)
+    win = _get_obj(auction, "window", "auction.window", problems, {"start", "end"})
     start = _get_int(win, "start", "auction.window", problems, lo=0)
     end = _get_int(win, "end", "auction.window", problems, lo=0)
     if start > end:
         problems.append("auction.window: start must be <= end")
         start = end = 0
 
-    agents = _get_obj(data, "agents", "agents", problems)
+    agents = _get_obj(
+        data, "agents", "agents", problems, {"n", "m", "faults", "expected_measurement"}
+    )
     n = _get_int(agents, "n", "agents", problems, lo=1)
     m = _get_int(agents, "m", "agents", problems, lo=1)
     if m > n:
@@ -199,7 +212,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     elif exp != "auto":
         problems.append('agents.expected_measurement: must be "auto" or 64 hex chars')
     faults, seen = [], set()
-    for path, f in _get_objs(agents, "faults", "agents.faults", problems):
+    for path, f in _get_objs(
+        agents, "faults", "agents.faults", problems,
+        {"agent_index", "kind", "at_time", "perturb_seed"},
+    ):
         idx = _get_int(f, "agent_index", path, problems, lo=0)
         kind = f.get("kind")
         if idx >= n:
@@ -214,7 +230,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
             faults.append((idx, kind, at_time, perturb))
         seen.add(idx)
 
-    net = _get_obj(data, "net", "net", problems, required=False)
+    net = _get_obj(
+        data, "net", "net", problems,
+        {"delay_min", "delay_max", "drop_rate", "partitions", "seed"}, required=False,
+    )
     delay_min = _get_int(net, "delay_min", "net", problems, lo=0, default=1)
     delay_max = _get_int(net, "delay_max", "net", problems, lo=0, default=2)
     drop = (net or {}).get("drop_rate", 0.0)
@@ -223,7 +242,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
         drop = 0.0
     net_seed = _get_int(net, "seed", "net", problems, lo=0, hi=(1 << 64) - 1, default=seed)
     partitions = []
-    for path, p in _get_objs(net, "partitions", "net.partitions", problems):
+    for path, p in _get_objs(
+        net, "partitions", "net.partitions", problems,
+        {"from_time", "to_time", "side_a", "side_b"},
+    ):
         frm = _get_int(p, "from_time", path, problems, lo=0)
         to = _get_int(p, "to_time", path, problems, lo=0)
         if frm > to:
@@ -247,7 +269,9 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     if delay_min > delay_max or not 0 <= drop <= 1:
         delay_min = 1  # the height cap below then counts the default delay
 
-    consensus = _get_obj(data, "consensus", "consensus", problems, required=False)
+    consensus = _get_obj(
+        data, "consensus", "consensus", problems, {"r_max", "round_timeout"}, required=False
+    )
     r_max = _get_int(consensus, "r_max", "consensus", problems, lo=1, default=3)
     timeout = _get_int(consensus, "round_timeout", "consensus", problems, lo=1, default=10)
     max_time = _get_int(data, "max_time", "scenario", problems, lo=1)
@@ -264,7 +288,9 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     ):
         problems.append('bidders: must be an object with exactly one of "explicit"/"generator"')
     elif "explicit" in src:
-        for path, b in _get_objs(src, "explicit", "bidders.explicit", problems):
+        for path, b in _get_objs(
+            src, "explicit", "bidders.explicit", problems, {"address", "amount", "height"}
+        ):
             addr = b.get("address")
             if not isinstance(addr, str) or not re.fullmatch("[0-9a-fA-F]{40}", addr):
                 problems.append(f"{path}.address: must be 40 hex chars")
@@ -278,7 +304,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
             bidders.append(BidderEntry(bytes.fromhex(addr), amount, height))
     else:
         # a rejected generator object still reports the fields it lacks
-        gen = _get_obj(src, "generator", "bidders.generator", problems, required=False) or {}
+        gen = _get_obj(
+            src, "generator", "bidders.generator", problems,
+            {"count", "distribution", "height_spread"}, required=False,
+        ) or {}
         count = _get_int(gen, "count", "bidders.generator", problems, lo=0)
         span = end - start + 1
         spread = _get_int(gen, "height_spread", "bidders.generator", problems, lo=1, default=span)
@@ -287,6 +316,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
         dist, path = gen.get("distribution"), "bidders.generator.distribution"
         kind = dist.get("kind") if isinstance(dist, dict) else None
         if kind == "uniform":
+            _check_keys(dist, f"{path}.", {"kind", "lo", "hi"}, problems)
             lo = _get_int(dist, "lo", path, problems, lo=1)
             hi = _get_int(dist, "hi", path, problems, lo=1)
             if lo > hi:
@@ -295,6 +325,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
                 problems.append(f"{path}.hi: must be <= 2^100")
             sampler = ("uniform", lo, hi)
         elif kind == "pareto":
+            _check_keys(dist, f"{path}.", {"kind", "scale", "shape"}, problems)
             scale = _get_int(dist, "scale", path, problems, lo=1)
             shape = dist.get("shape")
             if isinstance(shape, bool) or not isinstance(shape, (int, float)) or not shape > 0:

@@ -42,7 +42,10 @@ class Transcript:
 
 
 def load_lines(path: str) -> tuple[dict, list[str]]:
-    """Header dict plus raw body lines, exactly as stored (no reserialization)."""
+    """Header dict plus raw body lines, exactly as stored (no reserialization).
+
+    Raises ValueError when the file is empty or its header is not a JSON object.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     lines = raw.split("\n")
@@ -51,6 +54,8 @@ def load_lines(path: str) -> tuple[dict, list[str]]:
     if not lines:
         raise ValueError("empty transcript file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError("header line is not a JSON object")
     return header, lines[1:]
 
 

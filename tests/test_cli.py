@@ -116,6 +116,15 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert "reject" in out and "line 4" in out
 
 
+@pytest.mark.parametrize("header", ["5", "[1]", "null", "[" * 100_000 + "]" * 100_000])
+def test_verify_malformed_header_is_a_schema_mismatch(tmp_path, capsys, header):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    tfile = tmp_path / "t.jsonl"
+    tfile.write_text(header + "\n", encoding="utf-8")
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 1
+    assert capsys.readouterr().err.startswith("schema mismatch: transcript not parseable: ")
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1

@@ -285,6 +285,30 @@ def test_verify_unsupported_schema_raises(tmp_path):
         verify_transcript(tpath.as_posix(), spath.as_posix())
 
 
+def _edit_header(tmp_path, **changes):
+    """A stored run of seed 21 whose header has `changes` applied (None deletes)."""
+    spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
+    tr, _ = run_scenario(spath.as_posix())
+    header = dict(tr.header, **changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    tpath = tmp_path / "t.jsonl"
+    tpath.write_text(
+        "\n".join([json.dumps(header), *tr.lines]) + "\n", encoding="utf-8"
+    )
+    return tpath.as_posix(), spath.as_posix()
+
+
+@pytest.mark.parametrize("changes", [{"prng": "pcg64"}, {"sig_scheme": "rsa"}])
+def test_verify_rejects_a_changed_prng_or_sig_scheme(tmp_path, changes):
+    result = verify_transcript(*_edit_header(tmp_path, **changes))
+    assert not result.accepted and result.reason == "header_mismatch"
+
+
+def test_verify_header_without_seed_raises(tmp_path):
+    with pytest.raises(SchemaMismatch, match="header missing 'seed'"):
+        verify_transcript(*_edit_header(tmp_path, seed=None))
+
+
 def test_build_scenario_dict_validates_flags():
     with pytest.raises(InvalidFlags):
         build_scenario_dict(agents=3, threshold=4)

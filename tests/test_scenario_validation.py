@@ -236,6 +236,51 @@ def test_diagnostics(base, edits, expected):
     assert problems_of(edited(base, edits)) == expected
 
 
+# A misspelt key in any object the schema reads is reported, not read as
+# the field's default; one case per object path.
+UNKNOWN_KEYS = [
+    ("auction", GENERATED, {"auction.n_itemz": 3}, ["auction.n_itemz: unknown field"]),
+    ("window", GENERATED, {"auction.window.stop": 5}, ["auction.window.stop: unknown field"]),
+    ("agents", GENERATED, {"agents.fualts": [{"agent_index": 0, "kind": "silent"}]},
+     ["agents.fualts: unknown field"]),
+    ("fault", GENERATED, {FAULTS: [{"agent_index": 0, "kind": "crash", "at_tme": 4}]},
+     ["agents.faults[0].at_tme: unknown field", "agents.faults[0].at_time: required"]),
+    ("net", GENERATED, {"net.drop_rat": 0.5}, ["net.drop_rat: unknown field"]),
+    ("partition", GENERATED,
+     {PARTS: [{"from_time": 0, "to_time": 9, "side_a": [0], "side_c": [1]}]},
+     [f"{P0}.side_c: unknown field"]),
+    ("consensus", GENERATED, {"consensus.rmax": 9}, ["consensus.rmax: unknown field"]),
+    ("explicit_bidder", EXPLICIT, {"bidders.explicit.1.heigth": 2},
+     ["bidders.explicit[1].heigth: unknown field"]),
+    ("generator", GENERATED, {"bidders.generator.spread": 2},
+     ["bidders.generator.spread: unknown field"]),
+    ("uniform", GENERATED, {f"{DIST}.scale": 10}, ["bidders.generator.distribution.scale: unknown field"]),
+    ("pareto", GENERATED, {DIST: dict(PARETO, hi=10)},
+     ["bidders.generator.distribution.hi: unknown field"]),
+    # reported first, then the object's own fields
+    ("before_field_problems", GENERATED, {"consensus": {"r_max": 0, "x": 1}},
+     ["consensus.x: unknown field", "consensus.r_max: must be >= 1"]),
+    # only objects the reader accepted are looked into
+    ("rejected_distribution", GENERATED, {DIST: {"kind": "normal", "mu": 1}},
+     ['bidders.generator.distribution.kind: must be "uniform" or "pareto"']),
+    ("rejected_net", GENERATED, {"net": [{"x": 1}]}, ["net: must be an object"]),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edits, expected", [c[1:] for c in UNKNOWN_KEYS], ids=[c[0] for c in UNKNOWN_KEYS]
+)
+def test_unknown_keys(base, edits, expected):
+    assert problems_of(edited(base, edits)) == expected
+
+
+def test_run_names_a_misspelt_nested_key(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edited(GENERATED, {"net.drop_rat": 0.5})), encoding="utf-8")
+    assert cli.main(["run", path.as_posix()]) == 1
+    assert capsys.readouterr().err == "invalid scenario: net.drop_rat: unknown field\n"
+
+
 def test_top_level_must_be_object():
     assert problems_of([]) == ["scenario: must be a JSON object"]
 
