@@ -11,7 +11,7 @@ import json
 import random
 import time
 
-from swarmsim import auction, cli, commitment, harness, wallet
+from swarmsim import auction, cli, commitment, wallet
 from swarmsim.auction import AuctionConfig
 from swarmsim.commitment import bid_list_root, encode_bid_leaf, merkle_root, prove, verify_inclusion
 from swarmsim.harness import oracle_from_contributions, run_scenario_dict

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from swarmsim import auction, harness
+from swarmsim import auction
 from swarmsim.harness import (
     SchemaMismatch,
     oracle_from_contributions,

@@ -39,18 +39,6 @@ def test_oracle_shares_only_the_wire_type_and_the_auction_id_with_the_engine():
     assert used == {"hashlib", "heapq", "SettlementTx", "derive_auction_id"}
 
 
-def test_globals_read_sees_through_locals_and_annotations():
-    def probe(a: harness.Scenario, b) -> ast.AST:
-        x: Path = a
-
-        def inner(y):
-            return y + textwrap
-
-        return [inner(z) for z in (x, b, len)] + sorted([], key=lambda w: w)
-
-    assert globals_read(probe) == {"textwrap"}
-
-
 def test_imports_are_relative_stdlib_or_cryptography():
     allowed = set(sys.stdlib_module_names) | {"cryptography"}
     sources = sorted(Path(swarmsim.__file__).parent.glob("*.py"))
