@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from . import auction, commitment, consensus, wallet
 from .auction import AuctionConfig, ClearingResult, SettlementTx
 from .consensus import (
@@ -79,21 +81,24 @@ def verify_attestation(triple: AttestationTriple, expected_measurement: bytes) -
 class EnclaveMock:
     """Key confinement plus a code measurement.
 
-    The signing key is reachable only through sign(); it is excluded from
-    repr so it cannot leak into logs or transcripts by accident.
+    The enclave holds the signing key as a key object, never as raw bytes,
+    and derives its verifying key once. The key is reachable only through
+    sign(); it is excluded from repr so it cannot leak into logs or
+    transcripts by accident.
     """
 
-    __slots__ = ("_signing_key",)
+    __slots__ = ("_key", "_verifying_key")
     measurement = AGENT_MEASUREMENT
 
     def __init__(self, signing_key: bytes):
         if len(signing_key) != wallet.KEY_LEN:
             raise ValueError(f"signing key must be {wallet.KEY_LEN} bytes")
-        self._signing_key = signing_key
+        self._key = Ed25519PrivateKey.from_private_bytes(signing_key)
+        self._verifying_key = wallet.verifying_key_for(self._key)
 
     @property
     def verifying_key(self) -> bytes:
-        return wallet.verifying_key_for(self._signing_key)
+        return self._verifying_key
 
     def attest(self) -> AttestationTriple:
         m = self.measurement
@@ -105,7 +110,7 @@ class EnclaveMock:
         )
 
     def sign(self, digest: bytes) -> bytes:
-        return wallet.sign(self._signing_key, digest)
+        return wallet.sign(self._key, digest)
 
     def __repr__(self) -> str:
         return f"EnclaveMock(code_version={AGENT_CODE_VERSION!r})"
@@ -168,6 +173,7 @@ class Agent:
         self.tx: SettlementTx | None = None
         self.digest: bytes | None = None
         self._encoding: bytes | None = None  # of self.tx, kept from the first refresh on
+        self._cleared_len: int | None = None  # len(self.view) at the last _recompute
         self.round = 0
         self.roster: tuple[int, ...] = ()
         self.signed_digest: bytes | None = None
@@ -230,7 +236,7 @@ class Agent:
             return []
         if sender not in self.roster or sender >= self.policy.n:
             return [self._log("unknown_sender", sender=sender)]
-        if not consensus.open_envelope(env, self.policy.agent_keys[sender]):
+        if not consensus.open_envelope(env, self.policy):
             return [self._log("bad_transport_sig", sender=sender)]
 
         msg = env.msg
@@ -381,8 +387,8 @@ class Agent:
                 )
             ]
         share = a.share
-        if share.agent_index >= self.policy.n or not wallet.verify_signature(
-            self.policy.agent_keys[share.agent_index], self.digest, share.sig
+        if share.agent_index >= self.policy.n or not self.policy.verify(
+            share.agent_index, self.digest, share.sig
         ):
             return [
                 self._log("invalid_share_ignored", sender=sender, agent=share.agent_index)
@@ -413,14 +419,19 @@ class Agent:
         self.tx = auction.build_settlement(self.auction_cfg, self.result)
         self.digest = wallet.settlement_digest(self.tx)
         self._encoding = None
+        self._cleared_len = len(self.view)
 
     def _recheck(self) -> list[AgentAction]:
-        """Conflict path: re-derive everything from the accumulated ledger view."""
+        """Conflict path: re-derive everything from the accumulated ledger view.
+
+        _recompute is a pure function of the view, which only grows, so an
+        unchanged view keeps the state the last _recompute left."""
         if self.phase != PHASE_CROSS_VALIDATING:
             return []
         actions = [self._goto(PHASE_COMPUTING)]
         before = self.root
-        self._recompute()
+        if len(self.view) != self._cleared_len:
+            self._recompute()
         actions.append(self._goto(PHASE_CROSS_VALIDATING))
         actions.append(self._log("recheck", changed=self.root != before))
         return actions

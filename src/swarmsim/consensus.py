@@ -147,8 +147,7 @@ def seal(signing_key: bytes, sender: int, msg: PeerMessage) -> Envelope:
     return Envelope(sender=sender, msg=msg, transport_sig=sig)
 
 
-def open_envelope(env: Envelope, sender_verifying_key: bytes) -> bool:
-    """True iff the envelope's signature verifies under its claimed sender's key."""
-    return wallet.verify_signature(
-        sender_verifying_key, transport_digest(env.msg), env.transport_sig
-    )
+def open_envelope(env: Envelope, policy: wallet.MultisigPolicy) -> bool:
+    """True iff the envelope's signature verifies under its claimed sender's
+    key in the policy, checked through the policy's memo."""
+    return policy.verify(env.sender, transport_digest(env.msg), env.transport_sig)

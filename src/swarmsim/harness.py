@@ -170,10 +170,10 @@ def run_scenario(path: str) -> tuple[Transcript, RunReport]:
 def _run(sc: Scenario) -> tuple:
     """Execute to quiescence and classify. Returns the transcript, the outcome,
     and a call that builds the run report."""
-    keys = [agent_signing_key(sc.seed, i) for i in range(sc.n)]
-    policy = MultisigPolicy(
-        agent_keys=tuple(wallet.verifying_key_for(k) for k in keys), m=sc.m
-    )
+    enclaves = [EnclaveMock(agent_signing_key(sc.seed, i)) for i in range(sc.n)]
+    # One policy per run: the ledger and every agent share its memo of checked
+    # signatures, and the memo ends with the run.
+    policy = MultisigPolicy(agent_keys=tuple(e.verifying_key for e in enclaves), m=sc.m)
     ledger = Ledger()
     ledger.register_wallet(policy)
     cfg = AuctionConfig(
@@ -182,7 +182,7 @@ def _run(sc: Scenario) -> tuple:
     agents: list = [
         Agent(
             index=i,
-            enclave=EnclaveMock(keys[i]),
+            enclave=enclaves[i],
             policy=policy,
             auction_cfg=cfg,
             rounds=sc.rounds,

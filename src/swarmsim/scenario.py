@@ -23,9 +23,13 @@ from dataclasses import dataclass
 from .agent import AGENT_MEASUREMENT
 from .consensus import RoundConfig
 from .ledger import FundingWindow
-from .netsim import FAULT_CRASH, FAULT_KINDS, FaultSpec, NetConfig, Partition
+from .netsim import FAULT_CRASH, FAULT_KINDS, FAULT_WRONG_ROOT, FaultSpec, NetConfig, Partition
 
 MAX_SINGLE_AMOUNT = 1 << 100
+
+# The one key past agent_index and kind that a fault kind reads, set by the
+# CLI shorthand's :ARG; the other kinds read none.
+_FAULT_ARG = {FAULT_CRASH: "at_time", FAULT_WRONG_ROOT: "perturb_seed"}
 
 
 class InvalidScenario(Exception):
@@ -159,17 +163,29 @@ def _get_obj(data, key, path, problems, known, required=True):
 
 def _get_objs(data, key, path, problems, known):
     """Yield (item path, item) for each object in the list data[key], reporting
-    its keys outside `known`; absent is empty."""
+    its keys outside `known`, a set or a function of the item; absent is empty."""
     items = [] if data is None else data.get(key, [])
     if not isinstance(items, list):
         problems.append(f"{path}: must be a list")
         items = []
     for i, item in enumerate(items):
         if isinstance(item, dict):
-            _check_keys(item, f"{path}[{i}].", known, problems)
+            keys = known(item) if callable(known) else known
+            _check_keys(item, f"{path}[{i}].", keys, problems)
             yield f"{path}[{i}]", item
         else:
             problems.append(f"{path}[{i}]: must be an object")
+
+
+def _fault_keys(fault: dict) -> set[str]:
+    """A fault's known keys follow its kind; an unknown kind knows them all,
+    so that its kind error is the only message."""
+    kind = fault.get("kind")
+    if kind not in FAULT_KINDS:
+        args = set(_FAULT_ARG.values())
+    else:
+        args = {_FAULT_ARG[kind]} if kind in _FAULT_ARG else set()
+    return {"agent_index", "kind"} | args
 
 
 def parse_scenario(data: dict, raw: bytes) -> Scenario:
@@ -212,10 +228,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     elif exp != "auto":
         problems.append('agents.expected_measurement: must be "auto" or 64 hex chars')
     faults, seen = [], set()
-    for path, f in _get_objs(
-        agents, "faults", "agents.faults", problems,
-        {"agent_index", "kind", "at_time", "perturb_seed"},
-    ):
+    for path, f in _get_objs(agents, "faults", "agents.faults", problems, _fault_keys):
         idx = _get_int(f, "agent_index", path, problems, lo=0)
         kind = f.get("kind")
         if idx >= n:
@@ -226,7 +239,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
             problems.append(f"{path}.kind: must be one of {sorted(FAULT_KINDS)}")
         else:
             at_time = _get_int(f, "at_time", path, problems, lo=0) if kind == FAULT_CRASH else None
-            perturb = _get_int(f, "perturb_seed", path, problems, lo=0, default=0)
+            perturb = (
+                _get_int(f, "perturb_seed", path, problems, lo=0, default=0)
+                if kind == FAULT_WRONG_ROOT else 0
+            )
             faults.append((idx, kind, at_time, perturb))
         seen.add(idx)
 
@@ -412,14 +428,12 @@ def parse_fault_flag(text: str, n: int) -> dict:
         raise InvalidFlags(f"fault {text!r}: index must be < {n}")
     out: dict = {"agent_index": idx, "kind": kind}
     if len(parts) == 3:
+        if kind not in _FAULT_ARG:
+            raise InvalidFlags(f"fault {text!r}: {kind} takes no argument")
         try:
-            arg = int(parts[2])
+            out[_FAULT_ARG[kind]] = int(parts[2])
         except ValueError:
             raise InvalidFlags(f"fault {text!r}: argument must be an integer") from None
-        if kind == FAULT_CRASH:
-            out["at_time"] = arg
-        else:
-            out["perturb_seed"] = arg
     elif kind == FAULT_CRASH:
         raise InvalidFlags(f"fault {text!r}: crash needs INDEX:crash:AT_TIME")
     return out

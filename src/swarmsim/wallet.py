@@ -4,13 +4,14 @@ Signatures are Ed25519 (32-byte keys, 64-byte signatures, deterministic),
 applied directly to 32-byte digests. A bundle is accepted when at least m
 distinct agent indexes contribute a share that verifies against that
 index's registered key; garbage shares are reported but never veto an
-honest quorum.
+honest quorum. A policy remembers every (key, digest, signature) it has
+checked, so one run's agents and ledger verify each distinct signature once.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -46,6 +47,9 @@ class SignatureShare:
 class MultisigPolicy:
     agent_keys: tuple[bytes, ...]  # verifying keys, one per agent index
     m: int
+    # (key, digest, sig) -> verify_signature's answer, true or false. A run
+    # builds one policy, so nothing verified outlives the run.
+    _verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.agent_keys)
@@ -61,6 +65,14 @@ class MultisigPolicy:
     def n(self) -> int:
         return len(self.agent_keys)
 
+    def verify(self, agent_index: int, digest: bytes, sig: bytes) -> bool:
+        """verify_signature under agent_index's key, once per distinct triple."""
+        triple = (self.agent_keys[agent_index], digest, sig)
+        ok = self._verified.get(triple)
+        if ok is None:
+            ok = self._verified[triple] = verify_signature(*triple)
+        return ok
+
 
 @dataclass(frozen=True)
 class BundleVerdict:
@@ -70,12 +82,14 @@ class BundleVerdict:
     ignored: tuple[tuple[int, str], ...]  # (agent_index, problem)
 
 
-def verifying_key_for(signing_key: bytes) -> bytes:
-    return (
-        Ed25519PrivateKey.from_private_bytes(signing_key)
-        .public_key()
-        .public_bytes_raw()
-    )
+def _private_key(signing_key: bytes | Ed25519PrivateKey) -> Ed25519PrivateKey:
+    if isinstance(signing_key, Ed25519PrivateKey):
+        return signing_key
+    return Ed25519PrivateKey.from_private_bytes(signing_key)
+
+
+def verifying_key_for(signing_key: bytes | Ed25519PrivateKey) -> bytes:
+    return _private_key(signing_key).public_key().public_bytes_raw()
 
 
 def settlement_digest(tx: SettlementTx) -> bytes:
@@ -83,11 +97,12 @@ def settlement_digest(tx: SettlementTx) -> bytes:
     return hashlib.sha256(encode_settlement(tx)).digest()
 
 
-def sign(signing_key: bytes, digest: bytes) -> bytes:
-    """Deterministic 64-byte signature over a 32-byte digest."""
+def sign(signing_key: bytes | Ed25519PrivateKey, digest: bytes) -> bytes:
+    """Deterministic 64-byte signature over a 32-byte digest, by raw key
+    bytes or by a key object held across calls."""
     if len(digest) != DIGEST_LEN:
         raise ValueError(f"digest must be {DIGEST_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(signing_key).sign(digest)
+    return _private_key(signing_key).sign(digest)
 
 
 def verify_signature(verifying_key: bytes, digest: bytes, sig: bytes) -> bool:
@@ -119,7 +134,7 @@ def verify_bundle(
         if share.agent_index in valid:
             ignored.append((share.agent_index, "duplicate"))
             continue
-        if verify_signature(policy.agent_keys[share.agent_index], digest, share.sig):
+        if policy.verify(share.agent_index, digest, share.sig):
             valid.add(share.agent_index)
         else:
             ignored.append((share.agent_index, "bad_signature"))

@@ -451,14 +451,7 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     assert after == (agent.tx, agent.digest, agent.root, agent.result)
 
 
-def test_late_fundings_clear_the_auction_once_per_agent(monkeypatch):
-    data = build_scenario_dict(delay=(2, 3))
-    data["bidders"] = {
-        "explicit": [
-            {"address": f"{i:02x}" * 20, "amount": 100 + 37 * i, "height": height}
-            for i, height in enumerate([1, 2, 3, 4, 5, 5, 6, 6, 6, 7, 7], start=1)
-        ]
-    }
+def counting_aggregate(monkeypatch):
     calls = []
     aggregate = auction.aggregate
 
@@ -467,10 +460,68 @@ def test_late_fundings_clear_the_auction_once_per_agent(monkeypatch):
         return aggregate(*args)
 
     monkeypatch.setattr(auction, "aggregate", counting)
+    return calls
+
+
+def test_late_fundings_clear_the_auction_once_per_agent(monkeypatch):
+    data = build_scenario_dict(delay=(2, 3))
+    data["bidders"] = {
+        "explicit": [
+            {"address": f"{i:02x}" * 20, "amount": 100 + 37 * i, "height": height}
+            for i, height in enumerate([1, 2, 3, 4, 5, 5, 6, 6, 6, 7, 7], start=1)
+        ]
+    }
+    calls = counting_aggregate(monkeypatch)
     tr, report = run_scenario_dict(data)
     assert report.outcome == "SETTLED_CORRECT"
     assert sum('"event":"refresh"' in line for line in tr.lines) == 3 * 5
     assert len(calls) == 3
+
+
+def test_conflicts_clear_the_auction_once_per_agent(monkeypatch):
+    # wrong roots and equivocation make every agent re-check, but no view
+    # grows after the window seals, so no re-check needs a re-clear
+    data = build_scenario_dict(
+        agents=7, threshold=5, faults=("0:wrong_root:3", "1:equivocate"),
+        drop_rate=0.1, r_max=6,
+    )
+    calls = counting_aggregate(monkeypatch)
+    tr, report = run_scenario_dict(data)
+    assert report.outcome == "SETTLED_CORRECT"
+    assert sum('"event":"recheck"' in line for line in tr.lines) > 7
+    assert len(calls) == 7
+
+
+def test_recheck_after_a_late_funding_clears_again(monkeypatch):
+    agents, _, _, _, _ = ready_world()
+    agent = agents[1]
+    calls = counting_aggregate(monkeypatch)
+    (recheck,) = logs(agent._recheck(), "recheck")
+    assert calls == [] and recheck.detail["changed"] is False
+    late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
+    agent.on_ledger_event(
+        LedgerEvent(kind=FUNDING_RECEIVED, height=3, index=0, payload=late), 8
+    )
+    refreshed = (agent.tx, agent.digest, agent.root, agent.result)
+    (recheck,) = logs(agent._recheck(), "recheck")
+    assert len(calls) == 1 and recheck.detail["changed"] is False
+    assert (agent.tx, agent.digest, agent.root, agent.result) == refreshed
+    logs(agent._recheck(), "recheck")
+    assert len(calls) == 1
+
+
+def test_enclave_holds_a_key_object_not_the_key_bytes():
+    key = agent_signing_key(42, 0)
+    enclave = EnclaveMock(key)
+    assert not hasattr(enclave, "__dict__")
+    for name in EnclaveMock.__slots__:
+        value = getattr(enclave, name)
+        assert not isinstance(value, (bytearray, memoryview, str))
+        assert not isinstance(value, bytes) or key not in value
+    assert repr(enclave) == "EnclaveMock(code_version='swarmsim-agent/1.0.0')"
+    assert enclave.verifying_key == wallet.verifying_key_for(key)
+    digest = b"\x42" * 32
+    assert enclave.sign(digest) == wallet.sign(key, digest)
 
 
 def test_handlers_are_deterministic():

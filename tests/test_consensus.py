@@ -25,10 +25,18 @@ from swarmsim.consensus import (
     transport_digest,
 )
 from swarmsim.scenario import agent_signing_key
-from swarmsim.wallet import SignatureShare, sign, verifying_key_for
+from swarmsim.wallet import MultisigPolicy, SignatureShare, sign, verifying_key_for
 
 KEY = agent_signing_key(5, 0)
 VK = verifying_key_for(KEY)
+OTHER_VKS = [verifying_key_for(agent_signing_key(6, i)) for i in range(3)]
+
+
+def policy_with(vk, at):
+    """A policy whose key at index `at` is vk, the rest other agents' keys."""
+    keys = OTHER_VKS[:]
+    keys.insert(at, vk)
+    return MultisigPolicy(agent_keys=tuple(keys), m=1)
 
 ROOT = b"\x11" * 32
 DIGEST = b"\x22" * 32
@@ -108,13 +116,14 @@ def test_transport_digest_is_domain_separated():
 def test_seal_open_round_trip(msg):
     env = seal(KEY, 2, msg)
     assert env.sender == 2
-    assert open_envelope(env, VK)
+    assert open_envelope(env, policy_with(VK, 2))
 
 
 def test_open_rejects_wrong_key():
     env = seal(KEY, 0, MESSAGES[0])
     other = verifying_key_for(agent_signing_key(5, 1))
-    assert not open_envelope(env, other)
+    assert not open_envelope(env, policy_with(other, 0))
+    assert not open_envelope(dataclasses.replace(env, sender=1), policy_with(VK, 0))
 
 
 def test_open_rejects_tampered_body():
@@ -124,7 +133,7 @@ def test_open_rejects_tampered_body():
         msg=dataclasses.replace(env.msg, clearing_price=741),
         transport_sig=env.transport_sig,
     )
-    assert not open_envelope(forged, VK)
+    assert not open_envelope(forged, policy_with(VK, 0))
 
 
 def test_parse_body_rejects_unknown_type():

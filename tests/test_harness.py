@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from swarmsim import auction
+from swarmsim import auction, wallet
 from swarmsim.harness import (
     SchemaMismatch,
     oracle_from_contributions,
@@ -212,6 +212,57 @@ def test_verify_round_trip(tmp_path):
     assert result.accepted and result.outcome == "SETTLED_CORRECT"
 
 
+def swarm_shaped():
+    """Seven agents, m=5, one wrong_root and one equivocating proposer."""
+    return build_scenario_dict(
+        agents=7, threshold=5, faults=("0:wrong_root:3", "1:equivocate"),
+        drop_rate=0.1, r_max=6,
+    )
+
+
+@pytest.fixture
+def primitive_checks(monkeypatch):
+    """Every (key, digest, sig) that reaches the Ed25519 verify primitive."""
+    seen = []
+    real = wallet.Ed25519PublicKey
+
+    class Recording:
+        def __init__(self, key):
+            self.key, self.inner = key, real.from_public_bytes(key)
+
+        @classmethod
+        def from_public_bytes(cls, key):
+            return cls(key)
+
+        def verify(self, sig, digest):
+            seen.append((self.key, digest, sig))
+            self.inner.verify(sig, digest)
+
+    monkeypatch.setattr(wallet, "Ed25519PublicKey", Recording)
+    return seen
+
+
+def test_a_run_checks_each_distinct_signature_once(primitive_checks):
+    _, rep = run_scenario_dict(swarm_shaped())
+    assert rep.outcome == "SETTLED_CORRECT"
+    assert primitive_checks
+    assert len(set(primitive_checks)) == len(primitive_checks)
+
+
+def test_no_checked_signature_outlives_its_run(tmp_path, primitive_checks):
+    # verify replays the run in the same process; a memo that outlived the
+    # run would answer the replay's checks without the primitive
+    spath = write_scenario(tmp_path, swarm_shaped())
+    tr, _ = run_scenario(spath.as_posix())
+    ran = list(primitive_checks)
+    assert ran
+    tpath = tmp_path / "t.jsonl"
+    tr.write(tpath.as_posix())
+    primitive_checks.clear()
+    assert verify_transcript(tpath.as_posix(), spath.as_posix()).accepted
+    assert primitive_checks == ran
+
+
 def test_verify_rejects_edited_line(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     tr, _ = run_scenario(spath.as_posix())
@@ -318,6 +369,15 @@ def test_build_scenario_dict_validates_flags():
         build_scenario_dict(faults=("0:crash",))
     with pytest.raises(InvalidFlags):
         build_scenario_dict(faults=("9:silent",))
+
+
+@pytest.mark.parametrize("kind", ["silent", "equivocate", "bad_attestation"])
+def test_fault_flag_argument_only_for_kinds_that_read_one(kind):
+    with pytest.raises(InvalidFlags, match=f"{kind} takes no argument"):
+        build_scenario_dict(faults=(f"0:{kind}:50",))
+    assert build_scenario_dict(faults=(f"0:{kind}",))["agents"]["faults"] == [
+        {"agent_index": 0, "kind": kind}
+    ]
 
 
 def test_large_scale_flags_are_valid():

@@ -1,5 +1,6 @@
 """Rules on the package's own code: the settlement oracle stays independent of
-the engine's encoders, and every import is relative, stdlib or cryptography."""
+the engine's encoders, every import is relative, stdlib or cryptography, and
+no memo outlives a run."""
 
 import ast
 import builtins
@@ -12,6 +13,13 @@ import swarmsim
 from swarmsim import harness
 
 ORACLE = (harness.oracle_settlement, harness.oracle_from_contributions)
+FUNCTOOLS_MEMOS = {"cache", "lru_cache", "cached_property"}
+
+
+def package_trees() -> list[tuple[str, ast.Module]]:
+    sources = sorted(Path(swarmsim.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sources]
 
 
 def globals_read(fn) -> set[str]:
@@ -41,16 +49,40 @@ def test_oracle_shares_only_the_wire_type_and_the_auction_id_with_the_engine():
 
 def test_imports_are_relative_stdlib_or_cryptography():
     allowed = set(sys.stdlib_module_names) | {"cryptography"}
-    sources = sorted(Path(swarmsim.__file__).parent.glob("*.py"))
-    assert len(sources) >= 10
     bad = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules = [node.module]
             else:
                 continue
-            bad += [f"{path.name}: {mod}" for mod in modules if mod.split(".")[0] not in allowed]
+            bad += [f"{name}: {mod}" for mod in modules if mod.split(".")[0] not in allowed]
+    assert bad == []
+
+
+def test_no_functools_memo_in_the_package():
+    # Memos are run-scoped: the run's MultisigPolicy holds the signature memo.
+    # A functools cache would carry one run's work into the next one in the
+    # same process, such as the replay that `verify` makes.
+    bad = []
+    for name, tree in package_trees():
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                bad += [f"{name}: {a.name}" for a in node.names if a.name in FUNCTOOLS_MEMOS]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in FUNCTOOLS_MEMOS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                bad.append(f"{name}: functools.{node.attr}")
     assert bad == []

@@ -274,6 +274,54 @@ def test_unknown_keys(base, edits, expected):
     assert problems_of(edited(base, edits)) == expected
 
 
+# A fault's known keys follow its kind: crash reads at_time, wrong_root reads
+# perturb_seed, the other kinds read neither, and an unknown kind reads both so
+# that its kind error stands alone.
+FAULT_KEYS = [
+    ("silent_at_time", {"kind": "silent", "at_time": 50},
+     ["agents.faults[0].at_time: unknown field"]),
+    ("crash_perturb_seed", {"kind": "crash", "at_time": 4, "perturb_seed": 1},
+     ["agents.faults[0].perturb_seed: unknown field"]),
+    ("wrong_root_at_time", {"kind": "wrong_root", "at_time": 4},
+     ["agents.faults[0].at_time: unknown field"]),
+    ("equivocate_both", {"kind": "equivocate", "at_time": 4, "perturb_seed": 1},
+     ["agents.faults[0].at_time: unknown field", "agents.faults[0].perturb_seed: unknown field"]),
+    ("bad_attestation_perturb_seed", {"kind": "bad_attestation", "perturb_seed": "x"},
+     ["agents.faults[0].perturb_seed: unknown field"]),
+    ("unknown_kind_both", {"kind": "evil", "at_time": 4, "perturb_seed": 1},
+     [f"agents.faults[0].kind: must be one of {KINDS}"]),
+    ("unhashable_kind", {"kind": ["silent"], "at_time": 4},
+     [f"agents.faults[0].kind: must be one of {KINDS}"]),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, expected", [c[1:] for c in FAULT_KEYS], ids=[c[0] for c in FAULT_KEYS]
+)
+def test_fault_keys_follow_the_kind(fault, expected):
+    data = edited(GENERATED, {FAULTS: [{"agent_index": 0, **fault}]})
+    assert problems_of(data) == expected
+
+
+def test_each_fault_kind_parses_with_its_own_keys():
+    faults = [
+        {"agent_index": 0, "kind": "crash", "at_time": 4},
+        {"agent_index": 1, "kind": "wrong_root", "perturb_seed": 2},
+        {"agent_index": 2, "kind": "silent"},
+        {"agent_index": 3, "kind": "equivocate"},
+        {"agent_index": 4, "kind": "bad_attestation"},
+    ]
+    data = edited(GENERATED, {"agents.n": 5, "agents.m": 3, FAULTS: faults})
+    specs = parse_scenario(data, b"").faults
+    assert [(f.kind, f.at_time, f.perturb_seed) for f in specs] == [
+        ("crash", 4, 0),
+        ("wrong_root", None, 2),
+        ("silent", None, 0),
+        ("equivocate", None, 0),
+        ("bad_attestation", None, 0),
+    ]
+
+
 def test_run_names_a_misspelt_nested_key(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(edited(GENERATED, {"net.drop_rat": 0.5})), encoding="utf-8")

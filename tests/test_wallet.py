@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,40 @@ def test_policy_threshold_bounds():
         MultisigPolicy(agent_keys=tuple(VKS[:3]), m=4)
     with pytest.raises(ValueError):
         MultisigPolicy(agent_keys=tuple(VKS[:3]), m=0)
+
+
+def test_sign_by_held_key_matches_sign_by_key_bytes():
+    digest = settlement_digest(sample_tx())
+    held = Ed25519PrivateKey.from_private_bytes(KEYS[0])
+    assert sign(held, digest) == sign(KEYS[0], digest)
+    assert verifying_key_for(held) == VKS[0]
+
+
+def test_policy_memo_still_rejects_a_flipped_bit_after_warming_up():
+    digest = settlement_digest(sample_tx())
+    pol = policy()
+    good = share(0, digest)
+    assert pol.verify(0, digest, good.sig)
+    assert pol.verify(0, digest, good.sig)  # answered from the memo
+    for bit in (0, 7, 8 * SIG_LEN - 1):
+        flipped = bytearray(good.sig)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert not pol.verify(0, digest, bytes(flipped))
+        assert not pol.verify(0, digest, bytes(flipped))  # a false answer is kept false
+        bad = SignatureShare(agent_index=0, sig=bytes(flipped))
+        verdict = verify_bundle(pol, digest, [bad, share(1, digest)])
+        assert not verdict.accepted
+        assert verdict.ignored == ((0, "bad_signature"),)
+    # the same signature under another index's key is a distinct triple
+    assert not pol.verify(1, digest, good.sig)
+
+
+def test_policy_memo_leaves_equality_and_repr_alone():
+    digest = settlement_digest(sample_tx())
+    warm, cold = policy(), policy()
+    warm.verify(0, digest, share(0, digest).sig)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
 
 
 def test_share_validates_sig_length():
