@@ -182,7 +182,7 @@ class Agent:
         self._deadlines_seen = 0
         self._signed_share: SignatureShare | None = None
         self._acks: dict[int, SignatureShare] = {}
-        self._proposed_rounds: set[int] = set()
+        self._proposed = False
         self._last_key: tuple[int, int] | None = None
 
     # -- setup ------------------------------------------------------------
@@ -376,7 +376,7 @@ class Agent:
         return actions
 
     def _handle_ack(self, sender: int, a: Ack) -> list[AgentAction]:
-        if not self._proposed_rounds or self.submitted:
+        if not self._proposed or self.submitted:
             return [self._log("ack_ignored", sender=sender, round=a.round_index)]
         if a.settlement_digest != self.digest:
             return [
@@ -450,7 +450,7 @@ class Agent:
         return self._signed_share
 
     def _propose(self, round_index: int) -> list[AgentAction]:
-        self._proposed_rounds.add(round_index)
+        self._proposed = True
         msg = Propose(
             round_index=round_index,
             root=self.root,
@@ -471,7 +471,7 @@ class Agent:
         return actions
 
     def _maybe_submit(self) -> list[AgentAction]:
-        if self.submitted or self.digest is None or not self._proposed_rounds:
+        if self.submitted or self.digest is None or not self._proposed:
             return []
         indices = set(self._acks) | {self.index}
         if len(indices) < self.policy.m:

@@ -18,7 +18,6 @@ from .ledger import (
     ArithmeticOverflow,
     Contribution,
     FundingWindow,
-    check_amount,
     encode_amount,
 )
 
@@ -208,9 +207,3 @@ def append_full_refund(
                         addr, encode_amount(amount), encoding[-8:]))
     return replace(tx, full_refunds=tx.full_refunds + (entry,)), spliced
 
-
-def settlement_totals(tx: SettlementTx) -> tuple[int, int]:
-    """(partial refund total, full refund total), with checked amounts."""
-    partial = sum(check_amount(a) for _, a in tx.partial_refunds)
-    full = sum(check_amount(a) for _, a in tx.full_refunds)
-    return partial, full

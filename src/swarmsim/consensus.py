@@ -142,11 +142,6 @@ class Envelope:
     transport_sig: bytes
 
 
-def seal(signing_key: bytes, sender: int, msg: PeerMessage) -> Envelope:
-    sig = wallet.sign(signing_key, transport_digest(msg))
-    return Envelope(sender=sender, msg=msg, transport_sig=sig)
-
-
 def open_envelope(env: Envelope, policy: wallet.MultisigPolicy) -> bool:
     """True iff the envelope's signature verifies under its claimed sender's
     key in the policy, checked through the policy's memo."""

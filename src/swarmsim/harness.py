@@ -232,7 +232,7 @@ def _run(sc: Scenario) -> tuple:
     )
     return tr, outcome, functools.partial(
         _build_report, tr, outcome, receipt, settlements, agents, oracle_tx, oracle_price,
-        oracle_digest, sim.max_time_exceeded,
+        oracle_digest, sim.counts, sim.inflow, sim.max_time_exceeded,
     )
 
 
@@ -255,8 +255,12 @@ def _build_report(
     oracle_tx: SettlementTx,
     oracle_price: int,
     oracle_digest: bytes,
+    message_counts: dict,
+    inflow: int,
     max_time_exceeded: bool,
 ) -> RunReport:
+    """`message_counts` and `inflow` are the run's tallies of its transcript
+    lines; conservation is exact in base units against the executed receipt."""
     partial_total = sum(a for _, a in oracle_tx.partial_refunds)
     full_total = sum(a for _, a in oracle_tx.full_refunds)
     oracle_info = {
@@ -268,6 +272,7 @@ def _build_report(
         "digest": oracle_digest.hex(),
     }
     executed = None
+    conservation_ok = True
     if receipt is not None:
         executed = {
             "digest": receipt.digest.hex(),
@@ -276,7 +281,9 @@ def _build_report(
             "full_refund_total": str(receipt.full_refund_total),
             "retained": str(receipt.retained_balance),
         }
-    message_counts, conservation_ok = _scan_transcript(tr)
+        conservation_ok = inflow == (
+            receipt.retained_balance + receipt.partial_refund_total + receipt.full_refund_total
+        )
     return RunReport(
         outcome=outcome,
         oracle=oracle_info,
@@ -288,35 +295,6 @@ def _build_report(
         max_time_exceeded=max_time_exceeded,
         conservation_ok=conservation_ok,
     )
-
-
-def _scan_transcript(tr: Transcript) -> tuple[dict, bool]:
-    """Message counts and exact base-unit conservation, from transcript lines alone."""
-    counts = dict.fromkeys(
-        ("propose", "ack", "nack", "abort", "delivered", "dropped", "submits"), 0
-    )
-    inflow = 0
-    settlement = None
-    for ev in tr.iter_events():
-        event = ev.get("event")
-        if event == "peer_send":
-            counts[ev["msg"]["type"]] += 1
-        elif event == "peer_deliver":
-            counts["delivered"] += 1
-        elif event == "peer_drop":
-            counts["dropped"] += 1
-        elif event == "submit":
-            counts["submits"] += 1
-        elif ev.get("kind") == "funding_received":
-            inflow += int(ev["amount"])
-        elif ev.get("kind") == "settlement_executed":
-            settlement = ev
-    if settlement is None:
-        return counts, True
-    outflow = sum(int(a) for _, a in settlement["partial_refunds"]) + sum(
-        int(a) for _, a in settlement["full_refunds"]
-    )
-    return counts, inflow == int(settlement["retained"]) + outflow
 
 
 # -- verification ----------------------------------------------------------------

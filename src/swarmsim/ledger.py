@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 ADDRESS_LEN = 20
-TX_ID_LEN = 32
 AMOUNT_LIMIT = 1 << 128  # exclusive upper bound imposed by the 16-byte encoding
 
 
@@ -27,10 +26,6 @@ class ZeroAmount(LedgerError):
 
 
 class HeightInPast(LedgerError):
-    pass
-
-
-class WindowNotClosed(LedgerError):
     pass
 
 
@@ -80,9 +75,6 @@ class Contribution:
     amount: int
     block_height: int
     tx_id: bytes
-
-    def key(self) -> tuple[int, bytes]:
-        return (self.block_height, self.tx_id)
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ class Ledger:
     def __init__(self):
         self._policy = None
         self._queues: dict[int, list[Contribution]] = {}
-        self._blocks: list[Block] = []
+        self.next_height = 0
         self._seq = 0
         self.balance = 0
         self.events: list[LedgerEvent] = []
@@ -164,10 +156,6 @@ class Ledger:
         self._policy = policy
 
     # -- chain growth ------------------------------------------------------
-
-    @property
-    def next_height(self) -> int:
-        return len(self._blocks)
 
     def submit_funding(self, sender: bytes, amount: int, at_height: int) -> bytes:
         """Queue a funding transfer into the (future) block at `at_height`.
@@ -200,7 +188,7 @@ class Ledger:
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
         block = Block(height=height, txs=txs)
-        self._blocks.append(block)
+        self.next_height += 1
         for i, tx in enumerate(txs):
             self.balance += tx.amount
             self._emit(FUNDING_RECEIVED, height, i, tx)
@@ -211,21 +199,6 @@ class Ledger:
         ev = LedgerEvent(kind=kind, height=height, index=index, payload=payload)
         self.events.append(ev)
         return ev
-
-    # -- reads --------------------------------------------------------------
-
-    def contributions_in_window(self, window: FundingWindow) -> list[Contribution]:
-        """All sealed contributions with height inside the window, in ledger order."""
-        if self.next_height <= window.end_height:
-            raise WindowNotClosed(
-                f"window end {window.end_height} not sealed yet "
-                f"(next height is {self.next_height})"
-            )
-        return [
-            tx
-            for block in self._blocks[window.start_height : window.end_height + 1]
-            for tx in block.txs
-        ]
 
     # -- settlement ----------------------------------------------------------
 
@@ -273,8 +246,8 @@ class Ledger:
         )
         self.settled[tx.auction_id] = receipt
         self._emit(SETTLEMENT_EXECUTED, height, 0, receipt)
-        self._blocks.append(Block(height=height, txs=()))
-        self._emit(BLOCK_SEALED, height, 1, self._blocks[-1])
+        self.next_height += 1
+        self._emit(BLOCK_SEALED, height, 1, Block(height=height, txs=()))
         return receipt
 
     def settlement_count(self) -> int:

@@ -289,7 +289,8 @@ def _ledger_line(ev: LedgerEvent) -> dict:
 
 
 class Simulation:
-    """Owns the ledger, the agents, the clock, and the transcript."""
+    """Owns the ledger, the agents, the clock, and the transcript. Beside the
+    lines it writes, it tallies the report's message counts and funding inflow."""
 
     def __init__(
         self,
@@ -309,6 +310,10 @@ class Simulation:
         self.max_time = max_time
         self.transcript = transcript
         self.max_time_exceeded = False
+        self.counts = dict.fromkeys(
+            ("propose", "ack", "nack", "abort", "delivered", "dropped", "submits"), 0
+        )
+        self.inflow = 0
 
         self._rng = random.Random(
             int.from_bytes(
@@ -354,6 +359,7 @@ class Simulation:
                         "type": consensus.body_dict(env.msg)["type"],
                     }
                 )
+                self.counts["delivered"] += 1
                 self._exec(to, self.agents[to].on_peer_message(env, t), t)
             elif kind == "timer":
                 i = item[1]
@@ -378,6 +384,8 @@ class Simulation:
             ev = self.ledger.events[self._ev_cursor]
             self._ev_cursor += 1
             self.transcript.add(_ledger_line(ev))
+            if ev.kind == FUNDING_RECEIVED:
+                self.inflow += ev.payload.amount
             for i in range(len(self.agents)):
                 self._exec(i, self.agents[i].on_ledger_event(ev, now), now)
 
@@ -417,6 +425,7 @@ class Simulation:
                 "sig": env.transport_sig.hex(),
             }
         )
+        self.counts[body["type"]] += 1
         # the random drop is drawn only for links no partition cuts
         if any(p.separates(frm, to, now) for p in self.net.partitions):
             cause = "partition"
@@ -436,6 +445,7 @@ class Simulation:
                 "cause": cause,
             }
         )
+        self.counts["dropped"] += 1
 
     def _submit(self, agent_index: int, act: SubmitSettlement, now: int) -> None:
         self.transcript.add(
@@ -447,6 +457,7 @@ class Simulation:
                 "shares": [s.agent_index for s in act.shares],
             }
         )
+        self.counts["submits"] += 1
         try:
             self.ledger.execute_settlement(act.tx, list(act.shares))
         except (AlreadySettled, BadSignatureBundle) as exc:

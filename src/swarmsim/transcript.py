@@ -60,6 +60,9 @@ def load_lines(path: str) -> tuple[dict, list[str]]:
 
 
 def hash_body_lines(body_lines: list[str]) -> bytes:
-    return hashlib.sha256(
-        "".join(line + "\n" for line in body_lines).encode("utf-8")
-    ).digest()
+    # Fed line by line: a joined copy of a large body would set the run's peak memory.
+    h = hashlib.sha256()
+    for line in body_lines:
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    return h.digest()

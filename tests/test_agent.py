@@ -26,7 +26,7 @@ from swarmsim.agent import (
     verify_attestation,
 )
 from swarmsim.auction import AuctionConfig
-from swarmsim.consensus import Ack, AbortMsg, Nack, Propose, RoundConfig
+from swarmsim.consensus import Ack, AbortMsg, Envelope, Nack, Propose, RoundConfig
 from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
     FUNDING_RECEIVED,
@@ -45,6 +45,11 @@ B = b"\xbb" * 20
 C = b"\xcc" * 20
 
 WINDOW = FundingWindow(1, 2)
+
+
+def seal(key, sender, msg):
+    """An envelope signed as an agent's enclave signs one."""
+    return Envelope(sender, msg, wallet.sign(key, consensus.transport_digest(msg)))
 
 
 def make_world(n=3, m=2, n_items=2, r_max=3):
@@ -196,7 +201,7 @@ def test_mismatching_root_nacked_and_rechecked():
     agents, keys, _, _, actions = ready_world()
     honest = sends(actions[0])[0].envelope.msg
     twisted = dataclasses.replace(honest, root=b"\x66" * 32)
-    env = consensus.seal(keys[0], 0, twisted)
+    env = seal(keys[0], 0, twisted)
     reply = agents[1].on_peer_message(env, 6)
     (send,) = sends(reply)
     nack = send.envelope.msg
@@ -212,7 +217,7 @@ def test_digest_mismatch_logged_loudly():
     agents, keys, _, _, actions = ready_world()
     honest = sends(actions[0])[0].envelope.msg
     twisted = dataclasses.replace(honest, settlement_digest=b"\x55" * 32)
-    env = consensus.seal(keys[0], 0, twisted)
+    env = seal(keys[0], 0, twisted)
     reply = agents[1].on_peer_message(env, 6)
     assert logs(reply, "digest_mismatch")
     (send,) = sends(reply)
@@ -228,7 +233,7 @@ def test_not_ready_before_computation():
         clearing_price=1,
         settlement_digest=b"\x02" * 32,
     )
-    reply = agents[1].on_peer_message(consensus.seal(keys[0], 0, msg), 1)
+    reply = agents[1].on_peer_message(seal(keys[0], 0, msg), 1)
     (send,) = sends(reply)
     assert send.envelope.msg.reason == "not_ready"
     assert agents[1].phase == PHASE_MONITORING
@@ -237,7 +242,7 @@ def test_not_ready_before_computation():
 def test_unknown_sender_dropped():
     agents, keys, _, _, _ = ready_world()
     msg = Nack(round_index=0, reason="not_ready")
-    env = dataclasses.replace(consensus.seal(keys[0], 0, msg), sender=7)
+    env = dataclasses.replace(seal(keys[0], 0, msg), sender=7)
     reply = agents[1].on_peer_message(env, 6)
     assert logs(reply, "unknown_sender")
     assert sends(reply) == []
@@ -246,7 +251,7 @@ def test_unknown_sender_dropped():
 def test_bad_transport_signature_dropped():
     agents, keys, _, _, _ = ready_world()
     msg = Nack(round_index=0, reason="not_ready")
-    env = consensus.seal(keys[2], 0, msg)  # sealed with the wrong agent's key
+    env = seal(keys[2], 0, msg)  # sealed with the wrong agent's key
     reply = agents[1].on_peer_message(env, 6)
     assert logs(reply, "bad_transport_sig")
 
@@ -254,7 +259,7 @@ def test_bad_transport_signature_dropped():
 def test_wrong_proposer_dropped():
     agents, keys, _, _, actions = ready_world()
     honest = sends(actions[0])[0].envelope.msg  # round 0 belongs to agent 0
-    env = consensus.seal(keys[1], 1, honest)
+    env = seal(keys[1], 1, honest)
     reply = agents[2].on_peer_message(env, 6)
     assert logs(reply, "wrong_proposer")
     assert sends(reply) == []
@@ -285,7 +290,7 @@ def test_stale_ack_ignored():
         settlement_digest=b"\x44" * 32,
         share=SignatureShare(agent_index=1, sig=b"\x00" * 64),
     )
-    reply = agents[0].on_peer_message(consensus.seal(keys[1], 1, stale), 7)
+    reply = agents[0].on_peer_message(seal(keys[1], 1, stale), 7)
     assert logs(reply, "stale_ack_ignored")
     assert agents[0].submitted is False
 
@@ -298,7 +303,7 @@ def test_corrupted_ack_share_ignored():
         agent_index=1, sig=bytes([good.share.sig[0] ^ 1]) + good.share.sig[1:]
     )
     forged = dataclasses.replace(good, share=bad_share)
-    reply = agents[0].on_peer_message(consensus.seal(keys[1], 1, forged), 7)
+    reply = agents[0].on_peer_message(seal(keys[1], 1, forged), 7)
     assert logs(reply, "invalid_share_ignored")
     assert agents[0].submitted is False
 
@@ -341,7 +346,7 @@ def test_rounds_exhausted_aborts_and_broadcasts():
 def test_peer_abort_is_advisory_only():
     agents, keys, _, _, _ = ready_world()
     reply = agents[1].on_peer_message(
-        consensus.seal(keys[2], 2, AbortMsg(round_index=0)), 7
+        seal(keys[2], 2, AbortMsg(round_index=0)), 7
     )
     assert logs(reply, "peer_abort")
     assert agents[1].phase == PHASE_CROSS_VALIDATING

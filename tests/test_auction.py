@@ -17,7 +17,6 @@ from swarmsim.auction import (
     canonical_sort,
     compute_clearing,
     encode_settlement,
-    settlement_totals,
 )
 from swarmsim.ledger import AMOUNT_LIMIT, ArithmeticOverflow, Contribution, FundingWindow
 
@@ -165,7 +164,8 @@ def test_build_settlement_refund_split():
     assert tx.mints == ((C, 1), (A, 1), (B, 1))
     assert tx.partial_refunds == ((C, 4), (A, 2))
     assert tx.full_refunds == ((D, 2),)
-    partial, full = settlement_totals(tx)
+    partial = sum(a for _, a in tx.partial_refunds)
+    full = sum(a for _, a in tx.full_refunds)
     retained = result.clearing_price * len(result.winners)
     assert 17 == retained + partial + full  # inflow 17 = retained 9 + refunds 8
 
@@ -297,7 +297,9 @@ def test_conservation_property(amounts, n_items):
         contrib(bytes([i + 1]) * 20, amt, 1, i) for i, amt in enumerate(amounts)
     ]
     result = clear(n_items, contribs)
-    partial, full = settlement_totals(build_settlement(cfg(n_items), result))
+    tx = build_settlement(cfg(n_items), result)
+    partial = sum(a for _, a in tx.partial_refunds)
+    full = sum(a for _, a in tx.full_refunds)
     retained = result.clearing_price * len(result.winners)
     assert sum(amounts) == retained + partial + full
 

@@ -21,7 +21,6 @@ from swarmsim.consensus import (
     open_envelope,
     parse_body,
     proposer_for,
-    seal,
     transport_digest,
 )
 from swarmsim.scenario import agent_signing_key
@@ -30,6 +29,11 @@ from swarmsim.wallet import MultisigPolicy, SignatureShare, sign, verifying_key_
 KEY = agent_signing_key(5, 0)
 VK = verifying_key_for(KEY)
 OTHER_VKS = [verifying_key_for(agent_signing_key(6, i)) for i in range(3)]
+
+
+def seal(key, sender, msg):
+    """An envelope signed as an agent's enclave signs one."""
+    return Envelope(sender, msg, sign(key, transport_digest(msg)))
 
 
 def policy_with(vk, at):

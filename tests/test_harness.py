@@ -4,16 +4,21 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import GOLDEN
 
 from swarmsim import auction, wallet
 from swarmsim.harness import (
     SchemaMismatch,
+    _build_report,
     oracle_from_contributions,
     run_scenario,
     run_scenario_dict,
     verify_transcript,
 )
-from swarmsim.ledger import FundingWindow
+from swarmsim.ledger import FundingWindow, SettlementReceipt
+from swarmsim.netsim import FAULT_KINDS
 from swarmsim.scenario import (
     InvalidFlags,
     InvalidScenario,
@@ -23,6 +28,7 @@ from swarmsim.scenario import (
     derive_auction_id,
     parse_scenario,
 )
+from swarmsim.transcript import Transcript
 
 # frozen regression values for the stock scenario (seed 7, 12 bidders,
 # 4 items, 3 agents, threshold 2); any drift in population derivation,
@@ -391,3 +397,101 @@ def test_report_serializes_to_json():
     blob = json.dumps(rep.to_dict())
     assert json.loads(blob)["outcome"] == "SETTLED_CORRECT"
     assert any("clearing price" in ln for ln in rep.summary_lines())
+
+
+def scan_transcript(tr):
+    """Message counts and exact base-unit conservation, re-derived by parsing
+    every transcript line back: the reference for the counts a run tallies."""
+    counts = dict.fromkeys(
+        ("propose", "ack", "nack", "abort", "delivered", "dropped", "submits"), 0
+    )
+    inflow = 0
+    settlement = None
+    for ev in tr.iter_events():
+        event = ev.get("event")
+        if event == "peer_send":
+            counts[ev["msg"]["type"]] += 1
+        elif event == "peer_deliver":
+            counts["delivered"] += 1
+        elif event == "peer_drop":
+            counts["dropped"] += 1
+        elif event == "submit":
+            counts["submits"] += 1
+        elif ev.get("kind") == "funding_received":
+            inflow += int(ev["amount"])
+        elif ev.get("kind") == "settlement_executed":
+            settlement = ev
+    if settlement is None:
+        return counts, True
+    outflow = sum(int(a) for _, a in settlement["partial_refunds"]) + sum(
+        int(a) for _, a in settlement["full_refunds"]
+    )
+    return counts, inflow == int(settlement["retained"]) + outflow
+
+
+def assert_report_equals_a_reparse(data):
+    tr, rep = run_scenario_dict(data)
+    counts, conservation_ok = scan_transcript(tr)
+    assert list(rep.message_counts.items()) == list(counts.items())
+    assert rep.conservation_ok == conservation_ok
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_counts_equal_a_reparse_on_the_goldens(name):
+    assert_report_equals_a_reparse(GOLDEN[name][0]())
+
+
+@st.composite
+def small_scenarios(draw):
+    n = draw(st.integers(1, 7))
+    faults = []
+    for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)):
+        kind = draw(st.sampled_from(FAULT_KINDS))
+        arg = {"crash": f":{draw(st.integers(0, 20))}",
+               "wrong_root": f":{draw(st.integers(0, 3))}"}.get(kind, "")
+        faults.append(f"{i}:{kind}{arg}")
+    data = build_scenario_dict(
+        seed=draw(st.integers(0, 1000)),
+        bidders=draw(st.integers(1, 15)),
+        items=draw(st.integers(1, 5)),
+        agents=n,
+        threshold=draw(st.integers(1, n)),
+        drop_rate=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        delay=(1, draw(st.integers(1, 4))),
+        faults=tuple(faults),
+        max_time=draw(st.sampled_from([8, 500])),
+    )
+    if n > 1 and draw(st.booleans()):
+        data["net"]["partitions"] = [
+            {"from_time": 0, "to_time": draw(st.integers(1, 40)),
+             "side_a": [0], "side_b": list(range(1, n))}
+        ]
+    return data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=small_scenarios())
+def test_report_counts_equal_a_reparse_on_small_scenarios(data):
+    assert_report_equals_a_reparse(data)
+
+
+def test_conservation_fails_when_the_receipt_misses_inflow():
+    a, b = b"\xaa" * 20, b"\xbb" * 20
+    contribs = [(a, 7, 0, b"\x01" * 32), (b, 3, 0, b"\x02" * 32)]
+    tx, price = oracle_from_contributions(b"\x06" * 32, 1, FundingWindow(0, 0), contribs)
+    digest = wallet.settlement_digest(tx)
+    receipt = SettlementReceipt(
+        auction_id=tx.auction_id, digest=digest, height=1, index=0, mint_count=1,
+        partial_refund_total=0, full_refund_total=3, retained_balance=7, tx=tx,
+    )
+
+    def report(inflow, receipt=receipt):
+        return _build_report(
+            Transcript({}), "SETTLED_CORRECT", receipt, 1, [], tx, price, digest,
+            {}, inflow, False,
+        )
+
+    assert report(10).conservation_ok
+    assert not report(11).conservation_ok
+    assert not report(9).conservation_ok
+    assert report(11, receipt=None).conservation_ok  # nothing settled, nothing to conserve

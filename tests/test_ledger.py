@@ -1,4 +1,4 @@
-"""Ledger mechanics: funding, sealing, window queries, settlement execution."""
+"""Ledger mechanics: funding, sealing, settlement execution."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +14,10 @@ from swarmsim.ledger import (
     AlreadySettled,
     ArithmeticOverflow,
     BadSignatureBundle,
-    Contribution,
     FundingWindow,
     HeightInPast,
     InsufficientBalance,
     Ledger,
-    WindowNotClosed,
     ZeroAmount,
     encode_amount,
 )
@@ -109,29 +107,6 @@ def test_heights_are_consecutive():
     assert led.next_height == 6
 
 
-def test_window_query_boundary_inclusive():
-    led = Ledger()
-    for h in range(4):
-        led.submit_funding(A, h + 1, h)
-        led.seal_block()
-    got = led.contributions_in_window(FundingWindow(1, 2))
-    assert [(c.amount, c.block_height) for c in got] == [(2, 1), (3, 2)]
-
-
-def test_window_query_empty():
-    led = Ledger()
-    for _ in range(3):
-        led.seal_block()
-    assert led.contributions_in_window(FundingWindow(1, 2)) == []
-
-
-def test_window_query_before_end_sealed():
-    led = Ledger()
-    led.seal_block()
-    with pytest.raises(WindowNotClosed):
-        led.contributions_in_window(FundingWindow(0, 3))
-
-
 def test_event_stream_is_totally_ordered():
     led = Ledger()
     led.submit_funding(A, 1, 0)
@@ -148,6 +123,11 @@ def test_event_stream_is_totally_ordered():
     ]
 
 
+def fundings(led):
+    """Every sealed contribution, in ledger order."""
+    return [e.payload for e in led.events if e.kind == FUNDING_RECEIVED]
+
+
 def settle_simple(m_sign=2):
     """Fund A with 7 and B with 3, clear 1 item, settle with m_sign shares."""
     keys, policy = make_policy()
@@ -158,7 +138,7 @@ def settle_simple(m_sign=2):
     led.seal_block()
     window = FundingWindow(0, 0)
     cfg = auction.AuctionConfig(n_items=1, window=window, auction_id=b"\x01" * 32)
-    bids, late = auction.aggregate(led.contributions_in_window(window), window)
+    bids, late = auction.aggregate(fundings(led), window)
     result = auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
     tx = auction.build_settlement(cfg, result)
     sigs = sign_tx(tx, keys, range(m_sign))
@@ -211,13 +191,6 @@ def test_encode_amount_is_sixteen_byte_big_endian():
     assert encode_amount(AMOUNT_LIMIT - 1) == b"\xff" * 16
 
 
-def test_contribution_key_orders_by_chain_position():
-    c1 = Contribution(sender=A, amount=1, block_height=1, tx_id=b"\x00" * 32)
-    c2 = Contribution(sender=A, amount=1, block_height=1, tx_id=b"\x01" * 32)
-    c3 = Contribution(sender=A, amount=1, block_height=2, tx_id=b"\x00" * 32)
-    assert c1.key() < c2.key() < c3.key()
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     amounts=st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=8)
@@ -232,7 +205,7 @@ def test_conservation_exact_after_settlement(amounts):
     led.seal_block()
     window = FundingWindow(0, 0)
     cfg = auction.AuctionConfig(n_items=2, window=window, auction_id=b"\x02" * 32)
-    bids, late = auction.aggregate(led.contributions_in_window(window), window)
+    bids, late = auction.aggregate(fundings(led), window)
     tx = auction.build_settlement(
         cfg, auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
     )

@@ -1,6 +1,6 @@
 """Rules on the package's own code: the settlement oracle stays independent of
-the engine's encoders, every import is relative, stdlib or cryptography, and
-no memo outlives a run."""
+the engine's encoders, every import is relative, stdlib or cryptography, no
+memo outlives a run, and a run never parses its own transcript back."""
 
 import ast
 import builtins
@@ -85,4 +85,17 @@ def test_no_functools_memo_in_the_package():
                 and node.value.id in aliases
             ):
                 bad.append(f"{name}: functools.{node.attr}")
+    assert bad == []
+
+
+def test_only_the_transcript_module_reads_transcript_lines_back():
+    # The report's counts are tallied where the simulation writes each line;
+    # parsing the lines back would do the run's work a second time.
+    bad = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        if name != "transcript.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "iter_events"
+    ]
     assert bad == []
