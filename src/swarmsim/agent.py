@@ -17,12 +17,12 @@ run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import auction, commitment, consensus, wallet
-from .auction import AuctionConfig, ClearingResult, SettlementTx
+from .auction import AuctionConfig, SettlementTx
 from .consensus import (
     Ack,
     AbortMsg,
@@ -168,7 +168,8 @@ class Agent:
 
         self.phase = PHASE_MONITORING
         self.view: list[Contribution] = []
-        self.result: ClearingResult | None = None
+        self.clearing_price: int | None = None
+        self.bid_count = 0  # in-window bidders at the last _recompute
         self.root: bytes | None = None
         self.tx: SettlementTx | None = None
         self.digest: bytes | None = None
@@ -283,8 +284,6 @@ class Agent:
             # Out-of-window funds only append a full refund (never move the
             # root): splice it in, no re-clear, so later acks cover it.
             old = self.digest
-            late = self.result.late_contributions + (tx,)
-            self.result = replace(self.result, late_contributions=late)
             encoding = self._encoding or auction.encode_settlement(self.tx)
             self.tx, self._encoding = auction.append_full_refund(
                 self.tx, encoding, (tx.sender, tx.amount)
@@ -309,7 +308,7 @@ class Agent:
             self._goto(
                 PHASE_CROSS_VALIDATING,
                 root=self.root.hex(),
-                clearing_price=str(self.result.clearing_price),
+                clearing_price=str(self.clearing_price),
                 settlement_digest=self.digest.hex(),
             )
         )
@@ -399,13 +398,12 @@ class Agent:
     def _handle_nack(self, sender: int, nk: Nack) -> list[AgentAction]:
         # Debugging fallback for conflicts: log our own full-list summary so
         # the mismatch can be audited offline against the peer's.
-        r = self.result
         detail = {
             "sender": sender,
             "round": nk.round_index,
             "reason": nk.reason,
             "own_root": self.root.hex() if self.root else None,
-            "own_bid_count": len(r.winners) + len(r.losers) if r else 0,
+            "own_bid_count": self.bid_count,
         }
         return [self._log("nack_received", **detail)]
 
@@ -413,10 +411,11 @@ class Agent:
 
     def _recompute(self) -> None:
         bids, outside = auction.aggregate(self.view, self.auction_cfg.window)
-        self.result = auction.compute_clearing(self.auction_cfg, bids, outside)
-        ordered = list(self.result.winners) + list(self.result.losers)
+        result = auction.compute_clearing(self.auction_cfg, bids, outside)
+        ordered = list(result.winners) + list(result.losers)
         self.root = commitment.bid_list_root(ordered)
-        self.tx = auction.build_settlement(self.auction_cfg, self.result)
+        self.tx = auction.build_settlement(self.auction_cfg, result)
+        self.clearing_price, self.bid_count = result.clearing_price, len(ordered)
         self.digest = wallet.settlement_digest(self.tx)
         self._encoding = None
         self._cleared_len = len(self.view)
@@ -454,7 +453,7 @@ class Agent:
         msg = Propose(
             round_index=round_index,
             root=self.root,
-            clearing_price=self.result.clearing_price,
+            clearing_price=self.clearing_price,
             settlement_digest=self.digest,
         )
         actions: list[AgentAction] = [

@@ -10,10 +10,12 @@ Verification replays a scenario and diffs the stored transcript line by line.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import heapq
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 from . import netsim, wallet
 from .agent import PHASE_ABORTED, Agent, EnclaveMock
@@ -222,6 +224,7 @@ def _run(sc: Scenario) -> tuple:
     receipt = next(iter(ledger.settled.values()), None)
     settlements = ledger.settlement_count()
     outcome = _classify(receipt, agents, oracle_digest)
+    rounds_used = max((a.round + 1 for a in agents), default=0)
     tr.add(
         {
             "event": "run_outcome",
@@ -231,8 +234,8 @@ def _run(sc: Scenario) -> tuple:
         }
     )
     return tr, outcome, functools.partial(
-        _build_report, tr, outcome, receipt, settlements, agents, oracle_tx, oracle_price,
-        oracle_digest, sim.counts, sim.inflow, sim.max_time_exceeded,
+        _build_report, tr, outcome, receipt, settlements, rounds_used, oracle_tx,
+        oracle_price, oracle_digest, sim.counts, sim.inflow, sim.max_time_exceeded,
     )
 
 
@@ -251,7 +254,7 @@ def _build_report(
     outcome: str,
     receipt: SettlementReceipt | None,
     settlements: int,
-    agents: list,
+    rounds_used: int,
     oracle_tx: SettlementTx,
     oracle_price: int,
     oracle_digest: bytes,
@@ -289,7 +292,7 @@ def _build_report(
         oracle=oracle_info,
         executed=executed,
         message_counts=message_counts,
-        rounds_used=max((a.round + 1 for a in agents), default=0),
+        rounds_used=rounds_used,
         on_chain_tx_count=settlements,
         transcript_hash=tr.body_hash().hex(),
         max_time_exceeded=max_time_exceeded,
@@ -311,39 +314,41 @@ class VerifyResult:
 
 
 def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
-    """Replay the scenario and diff the stored transcript against the rerun."""
+    """Replay the scenario, then diff each stored line against the rerun as it is read."""
     data, raw_scn = load_scenario(scenario_path)
-    try:
-        header, body = load_lines(transcript_path)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"unsupported schema_version {header.get('schema_version')!r}"
-        )
-    for key in ("seed", "prng", "sig_scheme", "scenario_hash"):
-        if key not in header:
-            raise SchemaMismatch(f"header missing {key!r}")
-
-    if header["scenario_hash"] != hashlib.sha256(raw_scn).hexdigest():
-        return VerifyResult(False, "scenario_hash_mismatch")
-    sc = parse_scenario(data, raw_scn)
-    if header["seed"] != sc.seed:
-        return VerifyResult(False, "seed_mismatch")
-    if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:
-        return VerifyResult(False, "header_mismatch")
-
-    fresh_tr, outcome = _run(sc)[:2]  # drops the report call and what it holds
-    fresh_lines = fresh_tr.lines
-    for idx in range(max(len(body), len(fresh_lines))):
-        got = body[idx] if idx < len(body) else None
-        expected = fresh_lines[idx] if idx < len(fresh_lines) else None
-        if got != expected:
-            return VerifyResult(
-                False,
-                "divergence",
-                line_number=idx + 2,  # 1-based, after the header line
-                got="<missing line>" if got is None else got,
-                expected="<missing line>" if expected is None else expected,
+    with contextlib.closing(load_lines(transcript_path)) as stored:
+        try:
+            header = next(stored)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
+        if header.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaMismatch(
+                f"unsupported schema_version {header.get('schema_version')!r}"
             )
+        for key in ("seed", "prng", "sig_scheme", "scenario_hash"):
+            if key not in header:
+                raise SchemaMismatch(f"header missing {key!r}")
+
+        if header["scenario_hash"] != hashlib.sha256(raw_scn).hexdigest():
+            return VerifyResult(False, "scenario_hash_mismatch")
+        sc = parse_scenario(data, raw_scn)
+        if header["seed"] != sc.seed:
+            return VerifyResult(False, "seed_mismatch")
+        if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:
+            return VerifyResult(False, "header_mismatch")
+
+        fresh_tr, outcome = _run(sc)[:2]  # drops the report call and what it holds
+        pairs = enumerate(zip_longest(stored, fresh_tr.lines), start=2)  # line 1 is the header
+        try:
+            for line_number, (got, expected) in pairs:
+                if got != expected:
+                    return VerifyResult(
+                        False,
+                        "divergence",
+                        line_number=line_number,
+                        got="<missing line>" if got is None else got,
+                        expected="<missing line>" if expected is None else expected,
+                    )
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
     return VerifyResult(True, "ok", outcome=outcome)

@@ -349,15 +349,9 @@ class Simulation:
             if kind == "tick":
                 self._tick(item[1])
             elif kind == "deliver":
-                _, frm, to, env = item
+                _, frm, to, env, msg_type = item
                 self.transcript.add(
-                    {
-                        "t": t,
-                        "event": "peer_deliver",
-                        "from": frm,
-                        "to": to,
-                        "type": consensus.body_dict(env.msg)["type"],
-                    }
+                    {"t": t, "event": "peer_deliver", "from": frm, "to": to, "type": msg_type}
                 )
                 self.counts["delivered"] += 1
                 self._exec(to, self.agents[to].on_peer_message(env, t), t)
@@ -370,7 +364,7 @@ class Simulation:
     # -- dispatch helpers ----------------------------------------------------
 
     def _tick(self, height: int) -> None:
-        for sender, amount in self.submissions.get(height, ()):
+        for sender, amount in self.submissions.pop(height, ()):
             self.ledger.submit_funding(sender, amount, height)
         self.ledger.seal_block()
 
@@ -433,7 +427,7 @@ class Simulation:
             cause = "random"
         else:
             delay = self._rng.randint(self.net.delay_min, self.net.delay_max)
-            self._push(now + delay, ("deliver", frm, to, env))
+            self._push(now + delay, ("deliver", frm, to, env, body["type"]))
             return
         self.transcript.add(
             {

@@ -41,22 +41,20 @@ class Transcript:
             yield json.loads(line)
 
 
-def load_lines(path: str) -> tuple[dict, list[str]]:
-    """Header dict plus raw body lines, exactly as stored (no reserialization).
-
-    Raises ValueError when the file is empty or its header is not a JSON object.
-    """
+def load_lines(path: str):
+    """Yield the header dict, then each raw body line exactly as stored, one read
+    at a time; closing the generator closes the file. Raises ValueError when the
+    file is empty, its header is not a JSON object, or a line is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("empty transcript file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict):
-        raise ValueError("header line is not a JSON object")
-    return header, lines[1:]
+        first = fh.readline()
+        if not first:
+            raise ValueError("empty transcript file")
+        header = json.loads(first.removesuffix("\n"))
+        if not isinstance(header, dict):
+            raise ValueError("header line is not a JSON object")
+        yield header
+        for line in fh:
+            yield line.removesuffix("\n")
 
 
 def hash_body_lines(body_lines: list[str]) -> bytes:

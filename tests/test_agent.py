@@ -451,9 +451,9 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     refreshes = logs(actions, "refresh")
     assert len(refreshes) == len(late)
     assert refreshes[-1].detail["digest"] == agent.digest.hex()
-    after = (agent.tx, agent.digest, agent.root, agent.result)
+    after = (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
     agent._recompute()
-    assert after == (agent.tx, agent.digest, agent.root, agent.result)
+    assert after == (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
 
 
 def counting_aggregate(monkeypatch):
@@ -507,10 +507,10 @@ def test_recheck_after_a_late_funding_clears_again(monkeypatch):
     agent.on_ledger_event(
         LedgerEvent(kind=FUNDING_RECEIVED, height=3, index=0, payload=late), 8
     )
-    refreshed = (agent.tx, agent.digest, agent.root, agent.result)
+    refreshed = (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
     (recheck,) = logs(agent._recheck(), "recheck")
     assert len(calls) == 1 and recheck.detail["changed"] is False
-    assert (agent.tx, agent.digest, agent.root, agent.result) == refreshed
+    assert (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count) == refreshed
     logs(agent._recheck(), "recheck")
     assert len(calls) == 1
 

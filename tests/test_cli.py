@@ -134,3 +134,31 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "swarmsim" in capsys.readouterr().out
+
+
+def stored_run(tmp_path, **flags):
+    spath = write(tmp_path, build_scenario_dict(seed=11, **flags))
+    tfile = tmp_path / "t.jsonl"
+    assert cli.main(["run", spath, "--transcript", tfile.as_posix()]) == 0
+    return tfile, spath
+
+
+@pytest.mark.parametrize("end, last", [("\r\n", "\r\n"), ("\n", "")])
+def test_verify_reads_crlf_and_a_missing_final_newline_as_stored(tmp_path, capsys, end, last):
+    tfile, spath = stored_run(tmp_path)
+    lines = tfile.read_text(encoding="utf-8").splitlines()
+    tfile.write_bytes((end.join(lines) + last).encode("utf-8"))
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 0
+    assert "accept" in capsys.readouterr().out
+
+
+def test_verify_bad_utf8_past_the_first_read_is_a_schema_mismatch(tmp_path, capsys):
+    tfile, spath = stored_run(tmp_path, bidders=3000, items=2000)
+    raw = tfile.read_bytes()
+    at = raw.index(b'"tx_id":"', 64 * 1024) + len(b'"tx_id":"')
+    tfile.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+    capsys.readouterr()
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema mismatch: transcript not parseable: ")
+    assert "Traceback" not in captured.err + captured.out

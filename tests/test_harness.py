@@ -1,7 +1,9 @@
 """Scenario parsing, oracle classification, reports, transcript verification."""
 
 import copy
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from swarmsim.harness import (
     verify_transcript,
 )
 from swarmsim.ledger import FundingWindow, SettlementReceipt
-from swarmsim.netsim import FAULT_KINDS
+from swarmsim.netsim import FAULT_KINDS, Simulation
 from swarmsim.scenario import (
     InvalidFlags,
     InvalidScenario,
@@ -269,6 +271,45 @@ def test_no_checked_signature_outlives_its_run(tmp_path, primitive_checks):
     assert primitive_checks == ran
 
 
+def test_no_aggregated_bid_outlives_the_simulation(monkeypatch):
+    # each agent keeps the clearing price and the bid count, not the bid list
+    def live_bids():
+        gc.collect()
+        return sum(isinstance(o, auction.AggregatedBid) for o in gc.get_objects())
+
+    counts = []
+    run = Simulation.run
+
+    def counting_run(self):
+        run(self)
+        counts.append(live_bids())
+
+    monkeypatch.setattr(Simulation, "run", counting_run)
+    before = live_bids()
+    _, rep = run_scenario_dict(build_scenario_dict(seed=21, bidders=60, items=20))
+    assert rep.outcome == "SETTLED_CORRECT"
+    assert counts == [before]
+
+
+def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
+    # verify compares stored lines as it reads them, so its peak is the
+    # replay's; holding every stored line would add about a transcript
+    spath = write_scenario(tmp_path, build_scenario_dict(seed=21, bidders=5000, items=3333))
+    tpath = (tmp_path / "t.jsonl").as_posix()
+    tracemalloc.start()
+    try:
+        tr, _ = run_scenario(spath.as_posix())
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tr.write(tpath)
+        del tr
+        tracemalloc.reset_peak()
+        assert verify_transcript(tpath, spath.as_posix()).accepted
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_peak <= 1.08 * run_peak
+
+
 def test_verify_rejects_edited_line(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     tr, _ = run_scenario(spath.as_posix())
@@ -487,7 +528,7 @@ def test_conservation_fails_when_the_receipt_misses_inflow():
 
     def report(inflow, receipt=receipt):
         return _build_report(
-            Transcript({}), "SETTLED_CORRECT", receipt, 1, [], tx, price, digest,
+            Transcript({}), "SETTLED_CORRECT", receipt, 1, 0, tx, price, digest,
             {}, inflow, False,
         )
 
