@@ -422,6 +422,11 @@ fundings = st.tuples(
 )
 
 
+def cleared_state(agent):
+    """What an agent keeps from its last clearing."""
+    return (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     view=st.lists(st.tuples(fundings, st.integers(min_value=0, max_value=2)), max_size=8),
@@ -451,9 +456,9 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     refreshes = logs(actions, "refresh")
     assert len(refreshes) == len(late)
     assert refreshes[-1].detail["digest"] == agent.digest.hex()
-    after = (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
+    after = cleared_state(agent)
     agent._recompute()
-    assert after == (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
+    assert after == cleared_state(agent)
 
 
 def counting_aggregate(monkeypatch):
@@ -507,10 +512,10 @@ def test_recheck_after_a_late_funding_clears_again(monkeypatch):
     agent.on_ledger_event(
         LedgerEvent(kind=FUNDING_RECEIVED, height=3, index=0, payload=late), 8
     )
-    refreshed = (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
+    refreshed = cleared_state(agent)
     (recheck,) = logs(agent._recheck(), "recheck")
     assert len(calls) == 1 and recheck.detail["changed"] is False
-    assert (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count) == refreshed
+    assert cleared_state(agent) == refreshed
     logs(agent._recheck(), "recheck")
     assert len(calls) == 1
 
