@@ -33,6 +33,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # anyone holding the scenario file can replay the transcript bit for bit
     tpath = Path(tmp, "run.jsonl")
-    tpath.write_text(transcript.text(), encoding="utf-8")
+    transcript.write(tpath)
     result = verify_transcript(tpath, spath)
 print("verifier says:", result.reason, "/ outcome", result.outcome)

@@ -59,13 +59,15 @@ class ClearingResult:
     late_contributions: tuple[Contribution, ...]
 
 
+_ONE_ITEM = encode_amount(1)  # every mint's item count on the wire
+
+
 @dataclass(frozen=True)
 class SettlementTx:
     auction_id: bytes
-    mints: tuple[tuple[bytes, int], ...]  # (address, item_count), count always 1
+    mints: tuple[bytes, ...]  # winner addresses; each mints one identical item
     partial_refunds: tuple[tuple[bytes, int], ...]
     full_refunds: tuple[tuple[bytes, int], ...]
-    nonce: int = 0
 
 
 def aggregate(
@@ -143,7 +145,7 @@ def build_settlement(cfg: AuctionConfig, result: ClearingResult) -> SettlementTx
     contribution in ledger order, so the whole funding inflow is accounted
     for: inflow = price * |winners| + all refunds.
     """
-    mints = tuple((w.bidder, 1) for w in result.winners)
+    mints = tuple(w.bidder for w in result.winners)
     partial = tuple(
         (w.bidder, w.total - result.clearing_price)
         for w in result.winners
@@ -157,7 +159,6 @@ def build_settlement(cfg: AuctionConfig, result: ClearingResult) -> SettlementTx
         mints=mints,
         partial_refunds=partial,
         full_refunds=full,
-        nonce=0,
     )
 
 
@@ -166,18 +167,22 @@ def encode_settlement(tx: SettlementTx) -> bytes:
 
     Layout: auction_id (32) || for each section in (mints=0x01,
     partial=0x02, full=0x03): tag (1) || entry count as u32 BE || entries
-    of address (20) || amount as 16-byte BE; then nonce as u64 BE.
+    of address (20) || amount as 16-byte BE; then nonce as u64 BE. A mint's
+    amount is its item count, always 1, and the nonce is always 0.
     Any field change anywhere changes the bytes.
     """
     out = bytearray()
     if len(tx.auction_id) != 32:
         raise ValueError("auction_id must be 32 bytes")
     out += tx.auction_id
-    for tag, entries in (
-        (0x01, tx.mints),
-        (0x02, tx.partial_refunds),
-        (0x03, tx.full_refunds),
-    ):
+    out.append(0x01)
+    out += struct.pack(">I", len(tx.mints))
+    for addr in tx.mints:
+        if len(addr) != 20:
+            raise ValueError("entry address must be 20 bytes")
+        out += addr
+        out += _ONE_ITEM
+    for tag, entries in ((0x02, tx.partial_refunds), (0x03, tx.full_refunds)):
         out.append(tag)
         out += struct.pack(">I", len(entries))
         for addr, amount in entries:
@@ -185,7 +190,7 @@ def encode_settlement(tx: SettlementTx) -> bytes:
                 raise ValueError("entry address must be 20 bytes")
             out += addr
             out += encode_amount(amount)
-    out += struct.pack(">Q", tx.nonce)
+    out += bytes(8)  # the nonce, always 0
     return bytes(out)
 
 

@@ -164,6 +164,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"invalid scenario: {problem}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the commands report their own read errors
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -101,12 +101,11 @@ def oracle_from_contributions(
 
     tx = SettlementTx(
         auction_id=auction_id,
-        mints=tuple((rec[0], 1) for rec in winners),
+        mints=tuple(rec[0] for rec in winners),
         partial_refunds=tuple(
             (rec[0], rec[1] - price) for rec in winners if rec[1] - price > 0
         ),
         full_refunds=tuple((rec[0], rec[1]) for rec in losers) + tuple(outside),
-        nonce=0,
     )
     return tx, price
 
@@ -279,7 +278,7 @@ def _build_report(
     if receipt is not None:
         executed = {
             "digest": receipt.digest.hex(),
-            "mint_count": receipt.mint_count,
+            "mint_count": len(receipt.tx.mints),
             "partial_refund_total": str(receipt.partial_refund_total),
             "full_refund_total": str(receipt.full_refund_total),
             "retained": str(receipt.retained_balance),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 ADDRESS_LEN = 20
@@ -92,12 +93,6 @@ class FundingWindow:
         return self.start_height <= height <= self.end_height
 
 
-@dataclass(frozen=True)
-class Block:
-    height: int
-    txs: tuple[Contribution, ...]
-
-
 FUNDING_RECEIVED = "FundingReceived"
 BLOCK_SEALED = "BlockSealed"
 SETTLEMENT_EXECUTED = "SettlementExecuted"
@@ -107,8 +102,8 @@ SETTLEMENT_EXECUTED = "SettlementExecuted"
 class LedgerEvent:
     """One entry of the totally ordered chain log.
 
-    `payload` is the record matching `kind`: a Contribution, a Block, or a
-    SettlementReceipt.
+    `payload` is the record matching `kind`: a Contribution, the tuple of
+    Contributions a block sealed, or a SettlementReceipt.
     """
 
     kind: str
@@ -122,15 +117,13 @@ class LedgerEvent:
 
 @dataclass(frozen=True)
 class SettlementReceipt:
-    auction_id: bytes
+    """What the ledger computed executing `tx`; its event holds height and index."""
+
     digest: bytes
-    height: int
-    index: int
-    mint_count: int
     partial_refund_total: int
     full_refund_total: int
     retained_balance: int
-    tx: object  # the executed SettlementTx, kept for post-run auditing
+    tx: object  # the executed SettlementTx
 
 
 class Ledger:
@@ -147,7 +140,7 @@ class Ledger:
         self.next_height = 0
         self._seq = 0
         self.balance = 0
-        self.events: list[LedgerEvent] = []
+        self.events: deque[LedgerEvent] = deque()
         self.settled: dict[bytes, SettlementReceipt] = {}
 
     # -- wallet policy ----------------------------------------------------
@@ -183,22 +176,19 @@ class Ledger:
         self._queues.setdefault(at_height, []).append(tx)
         return tx_id
 
-    def seal_block(self) -> Block:
-        """Finalize the next height with everything queued for it."""
+    def seal_block(self) -> int:
+        """Finalize the next height with everything queued for it; returns that height."""
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
-        block = Block(height=height, txs=txs)
         self.next_height += 1
         for i, tx in enumerate(txs):
             self.balance += tx.amount
             self._emit(FUNDING_RECEIVED, height, i, tx)
-        self._emit(BLOCK_SEALED, height, len(txs), block)
-        return block
+        self._emit(BLOCK_SEALED, height, len(txs), txs)
+        return height
 
-    def _emit(self, kind: str, height: int, index: int, payload) -> LedgerEvent:
-        ev = LedgerEvent(kind=kind, height=height, index=index, payload=payload)
-        self.events.append(ev)
-        return ev
+    def _emit(self, kind: str, height: int, index: int, payload) -> None:
+        self.events.append(LedgerEvent(kind=kind, height=height, index=index, payload=payload))
 
     # -- settlement ----------------------------------------------------------
 
@@ -234,11 +224,7 @@ class Ledger:
         height = self.next_height
         self.balance -= outflow
         receipt = SettlementReceipt(
-            auction_id=tx.auction_id,
             digest=digest,
-            height=height,
-            index=0,
-            mint_count=len(tx.mints),
             partial_refund_total=partial,
             full_refund_total=full,
             retained_balance=self.balance,
@@ -247,7 +233,7 @@ class Ledger:
         self.settled[tx.auction_id] = receipt
         self._emit(SETTLEMENT_EXECUTED, height, 0, receipt)
         self.next_height += 1
-        self._emit(BLOCK_SEALED, height, 1, Block(height=height, txs=()))
+        self._emit(BLOCK_SEALED, height, 1, ())
         return receipt
 
     def settlement_count(self) -> int:

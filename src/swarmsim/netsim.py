@@ -262,22 +262,22 @@ def _ledger_line(ev: LedgerEvent) -> dict:
             "tx_id": tx.tx_id.hex(),
         }
     if ev.kind == BLOCK_SEALED:
-        return {**base, "kind": "block_sealed", "tx_count": len(ev.payload.txs)}
+        return {**base, "kind": "block_sealed", "tx_count": len(ev.payload)}
     if ev.kind == SETTLEMENT_EXECUTED:
         r = ev.payload
         return {
             **base,
             "kind": "settlement_executed",
-            "auction_id": r.auction_id.hex(),
+            "auction_id": r.tx.auction_id.hex(),
             "digest": r.digest.hex(),
-            "mints": [[addr.hex(), count] for addr, count in r.tx.mints],
+            "mints": [[addr.hex(), 1] for addr in r.tx.mints],
             "partial_refunds": [
                 [addr.hex(), str(amt)] for addr, amt in r.tx.partial_refunds
             ],
             "full_refunds": [
                 [addr.hex(), str(amt)] for addr, amt in r.tx.full_refunds
             ],
-            "mint_count": r.mint_count,
+            "mint_count": len(r.tx.mints),
             "partial_refund_total": str(r.partial_refund_total),
             "full_refund_total": str(r.full_refund_total),
             "retained": str(r.retained_balance),
@@ -325,7 +325,6 @@ class Simulation:
         )
         self._heap: list = []
         self._count = itertools.count()
-        self._ev_cursor = 0
         # Ticks pre-scheduled at init take the lowest sequence numbers, so a
         # block at height t always seals before same-time message deliveries.
         for t in range(last_height + 1):
@@ -369,14 +368,14 @@ class Simulation:
         self.ledger.seal_block()
 
     def _pump_ledger(self, now: int) -> None:
-        """Deliver undelivered ledger events to every agent, in total order.
+        """Drain the ledger's log to every agent, in total order.
 
-        Cursor-based so a settlement executed mid-pump is picked up by the
-        same loop after the current event finishes its full fan-out.
+        A settlement executed mid-pump lands on the log and is delivered by
+        the same loop after the current event finishes its full fan-out.
         """
-        while self._ev_cursor < len(self.ledger.events):
-            ev = self.ledger.events[self._ev_cursor]
-            self._ev_cursor += 1
+        events = self.ledger.events
+        while events:
+            ev = events.popleft()
             self.transcript.add(_ledger_line(ev))
             if ev.kind == FUNDING_RECEIVED:
                 self.inflow += ev.payload.amount

@@ -33,8 +33,12 @@ class Transcript:
         return "".join(line + "\n" for line in [canonical_json(self.header), *self.lines])
 
     def write(self, path: str) -> None:
+        # Line by line: the joined text of a large run would set its peak memory.
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
+            fh.write(canonical_json(self.header) + "\n")
+            for line in self.lines:
+                fh.write(line)
+                fh.write("\n")
 
     def iter_events(self):
         for line in self.lines:

@@ -355,11 +355,7 @@ def test_peer_abort_is_advisory_only():
 def test_settlement_event_finishes_run():
     agents, _, _, _, _ = ready_world()
     receipt = SettlementReceipt(
-        auction_id=b"\x09" * 32,
         digest=agents[1].digest,
-        height=3,
-        index=0,
-        mint_count=2,
         partial_refund_total=0,
         full_refund_total=0,
         retained_balance=10,
@@ -376,11 +372,7 @@ def test_settlement_event_finishes_run():
 def test_foreign_settlement_flagged():
     agents, _, _, _, _ = ready_world()
     receipt = SettlementReceipt(
-        auction_id=b"\x09" * 32,
         digest=b"\x13" * 32,
-        height=3,
-        index=0,
-        mint_count=2,
         partial_refund_total=0,
         full_refund_total=0,
         retained_balance=10,

@@ -161,7 +161,7 @@ def test_build_settlement_refund_split():
         ],
     )
     tx = build_settlement(cfg(3), result)
-    assert tx.mints == ((C, 1), (A, 1), (B, 1))
+    assert tx.mints == (C, A, B)
     assert tx.partial_refunds == ((C, 4), (A, 2))
     assert tx.full_refunds == ((D, 2),)
     partial = sum(a for _, a in tx.partial_refunds)
@@ -172,7 +172,7 @@ def test_build_settlement_refund_split():
 
 def test_build_settlement_omits_zero_partial_refund():
     tx = build_settlement(cfg(3), clear(3, [contrib(A, 10, 1)]))
-    assert tx.mints == ((A, 1),)
+    assert tx.mints == (A,)
     assert tx.partial_refunds == ()
     assert tx.full_refunds == ()
 
@@ -195,10 +195,9 @@ def test_build_settlement_refunds_out_of_window_after_losers():
 def test_encode_settlement_exact_layout():
     tx = SettlementTx(
         auction_id=b"\x07" * 32,
-        mints=((A, 1),),
+        mints=(A,),
         partial_refunds=((A, 2),),
         full_refunds=((B, 3), (C, 4)),
-        nonce=5,
     )
 
     def entry(addr, amount):
@@ -209,9 +208,17 @@ def test_encode_settlement_exact_layout():
         + b"\x01" + struct.pack(">I", 1) + entry(A, 1)
         + b"\x02" + struct.pack(">I", 1) + entry(A, 2)
         + b"\x03" + struct.pack(">I", 2) + entry(B, 3) + entry(C, 4)
-        + struct.pack(">Q", 5)
+        + struct.pack(">Q", 0)
     )
     assert encode_settlement(tx) == expected
+
+
+def test_encode_settlement_checks_every_mint_address():
+    tx = SettlementTx(
+        auction_id=b"\x07" * 32, mints=(A, b"\xaa" * 19), partial_refunds=(), full_refunds=()
+    )
+    with pytest.raises(ValueError):
+        encode_settlement(tx)
 
 
 def test_encode_settlement_is_injective_on_section_moves():
@@ -242,20 +249,16 @@ entries = st.lists(
     partial=entries,
     full=entries,
     entry=st.tuples(st.binary(min_size=20, max_size=20), entry_amounts),
-    nonce=st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
-def test_append_full_refund_matches_a_fresh_encoding(
-    auction_id, mints, partial, full, entry, nonce
-):
+def test_append_full_refund_matches_a_fresh_encoding(auction_id, mints, partial, full, entry):
     tx = SettlementTx(
         auction_id=auction_id,
-        mints=tuple((m, 1) for m in mints),
+        mints=tuple(mints),
         partial_refunds=partial,
         full_refunds=full,
-        nonce=nonce,
     )
     new_tx, encoding = append_full_refund(tx, encode_settlement(tx), entry)
-    assert new_tx == SettlementTx(auction_id, tx.mints, partial, full + (entry,), nonce)
+    assert new_tx == SettlementTx(auction_id, tx.mints, partial, full + (entry,))
     assert encoding == encode_settlement(new_tx)
 
 

@@ -73,6 +73,22 @@ def test_run_missing_file_exits_one(tmp_path, capsys):
     assert cli.main(["run", (tmp_path / "nope.json").as_posix()]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--transcript", "--report"])
+def test_run_unwritable_output_exits_one(tmp_path, capsys, flag):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    target = (tmp_path / "missing" / "dir" / "out").as_posix()
+    assert cli.main(["run", spath, flag, target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
+def test_gen_unwritable_out_exits_one(tmp_path, capsys):
+    target = (tmp_path / "missing" / "dir" / "s.json").as_posix()
+    assert cli.main(["gen", "--out", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
 def test_run_unparseable_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{", encoding="utf-8")

@@ -30,7 +30,7 @@ from swarmsim.scenario import (
     derive_auction_id,
     parse_scenario,
 )
-from swarmsim.transcript import Transcript
+from swarmsim.transcript import Transcript, canonical_json
 
 # frozen regression values for the stock scenario (seed 7, 12 bidders,
 # 4 items, 3 agents, threshold 2); any drift in population derivation,
@@ -165,7 +165,7 @@ def test_oracle_handles_aggregation_and_window_edges():
     ]
     tx, price = oracle_from_contributions(b"\x05" * 32, 1, window, contribs)
     assert price == 7
-    assert tx.mints == ((a, 1),)
+    assert tx.mints == (a,)
     assert tx.partial_refunds == ()
     assert tx.full_refunds == ((b, 4), (a, 5), (b, 9))
 
@@ -289,6 +289,38 @@ def test_no_aggregated_bid_outlives_the_simulation(monkeypatch):
     _, rep = run_scenario_dict(build_scenario_dict(seed=21, bidders=60, items=20))
     assert rep.outcome == "SETTLED_CORRECT"
     assert counts == [before]
+
+
+def test_the_ledger_holds_no_event_after_the_simulation(monkeypatch):
+    # the driver drains the ledger's log as it delivers each event
+    held = []
+    run = Simulation.run
+
+    def counting_run(self):
+        run(self)
+        held.append(len(self.ledger.events))
+
+    monkeypatch.setattr(Simulation, "run", counting_run)
+    tr, rep = run_scenario_dict(build_scenario_dict(seed=21, bidders=60, items=20))
+    assert rep.outcome == "SETTLED_CORRECT"
+    assert sum('"kind":"settlement_executed"' in line for line in tr.lines) == 1
+    assert held == [0]
+
+
+def test_write_streams_the_transcript(tmp_path):
+    # the file is written line by line, never joined into one string
+    tr, _ = run_scenario_dict(build_scenario_dict(seed=21, bidders=20000, items=13333))
+    path = tmp_path / "t.jsonl"
+    body = sum(len(line) + 1 for line in tr.lines)
+    tracemalloc.start()
+    try:
+        tr.write(path.as_posix())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = "".join(line + "\n" for line in [canonical_json(tr.header), *tr.lines])
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert peak <= 0.75 * body
 
 
 def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
@@ -522,8 +554,7 @@ def test_conservation_fails_when_the_receipt_misses_inflow():
     tx, price = oracle_from_contributions(b"\x06" * 32, 1, FundingWindow(0, 0), contribs)
     digest = wallet.settlement_digest(tx)
     receipt = SettlementReceipt(
-        auction_id=tx.auction_id, digest=digest, height=1, index=0, mint_count=1,
-        partial_refund_total=0, full_refund_total=3, retained_balance=7, tx=tx,
+        digest=digest, partial_refund_total=0, full_refund_total=3, retained_balance=7, tx=tx,
     )
 
     def report(inflow, receipt=receipt):

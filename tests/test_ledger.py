@@ -88,22 +88,25 @@ def test_bad_address_rejected():
 
 def test_seal_empty_block():
     led = Ledger()
-    blk = led.seal_block()
-    assert blk.height == 0 and blk.txs == ()
+    assert led.seal_block() == 0
+    (ev,) = led.events
+    assert ev.kind == BLOCK_SEALED and ev.payload == ()
 
 
 def test_seal_preserves_submission_order():
     led = Ledger()
     for who, amt in ((A, 1), (B, 2), (C, 3)):
         led.submit_funding(who, amt, 0)
-    blk = led.seal_block()
-    assert [(t.sender, t.amount) for t in blk.txs] == [(A, 1), (B, 2), (C, 3)]
+    led.seal_block()
+    sealed = led.events[-1]
+    assert sealed.kind == BLOCK_SEALED
+    assert [(t.sender, t.amount) for t in sealed.payload] == [(A, 1), (B, 2), (C, 3)]
 
 
 def test_heights_are_consecutive():
     led = Ledger()
     for expected in range(6):
-        assert led.seal_block().height == expected
+        assert led.seal_block() == expected
     assert led.next_height == 6
 
 
@@ -148,7 +151,7 @@ def settle_simple(m_sign=2):
 def test_execute_settlement_happy_path():
     led, tx, sigs = settle_simple()
     receipt = led.execute_settlement(tx, sigs)
-    assert receipt.mint_count == 1
+    assert receipt.tx == tx and len(receipt.tx.mints) == 1
     assert receipt.full_refund_total == 3
     assert receipt.retained_balance == 7
     assert led.settlement_count() == 1
@@ -178,7 +181,7 @@ def test_overspending_settlement_rejected():
     led.seal_block()
     tx = auction.SettlementTx(
         auction_id=b"\x01" * 32,
-        mints=((A, 1),),
+        mints=(A,),
         partial_refunds=(),
         full_refunds=((B, 6),),
     )

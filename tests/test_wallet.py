@@ -40,7 +40,7 @@ def policy(n=3, m=2):
 def sample_tx():
     return SettlementTx(
         auction_id=b"\x03" * 32,
-        mints=((A, 1),),
+        mints=(A,),
         partial_refunds=((A, 2),),
         full_refunds=((B, 7),),
     )
