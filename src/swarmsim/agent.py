@@ -412,7 +412,7 @@ class Agent:
     def _recompute(self) -> None:
         bids, outside = auction.aggregate(self.view, self.auction_cfg.window)
         result = auction.compute_clearing(self.auction_cfg, bids, outside)
-        ordered = list(result.winners) + list(result.losers)
+        ordered = result.winners + result.losers
         self.root = commitment.bid_list_root(ordered)
         self.tx = auction.build_settlement(self.auction_cfg, result)
         self.clearing_price, self.bid_count = result.clearing_price, len(ordered)

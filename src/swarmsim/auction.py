@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .ledger import (
     AMOUNT_LIMIT,
@@ -39,8 +40,7 @@ class AuctionConfig:
             raise ValueError("auction_id must be 32 bytes")
 
 
-@dataclass(frozen=True)
-class AggregatedBid:
+class AggregatedBid(NamedTuple):
     bidder: bytes
     total: int
     first_height: int
@@ -79,29 +79,28 @@ def aggregate(
     tx id) for tie-breaking; `contribs` must already be in ledger order,
     which resolves ties within a block by intra-block position.
     """
+    lo, hi = window.start_height, window.end_height
     totals: dict[bytes, int] = {}
     first: dict[bytes, Contribution] = {}
     late: list[Contribution] = []
     for tx in contribs:
-        if not window.contains(tx.block_height):
+        if not lo <= tx.block_height <= hi:
             late.append(tx)
             continue
-        new_total = totals.get(tx.sender, 0) + tx.amount
-        if new_total >= AMOUNT_LIMIT:
-            raise ArithmeticOverflow(
-                f"aggregate for {tx.sender.hex()} overflows 16 bytes"
-            )
-        totals[tx.sender] = new_total
-        if tx.sender not in first:
-            first[tx.sender] = tx
+        sender = tx.sender
+        total = totals.get(sender)
+        if total is None:
+            first[sender] = tx
+            total = tx.amount
+        else:
+            total += tx.amount
+        if total >= AMOUNT_LIMIT:
+            raise ArithmeticOverflow(f"aggregate for {sender.hex()} overflows 16 bytes")
+        totals[sender] = total
+    # Both dicts gain a sender at the same step, so they list senders in one order.
     bids = [
-        AggregatedBid(
-            bidder=sender,
-            total=total,
-            first_height=first[sender].block_height,
-            first_tx=first[sender].tx_id,
-        )
-        for sender, total in totals.items()
+        AggregatedBid(sender, total, tx.block_height, tx.tx_id)
+        for (sender, total), tx in zip(totals.items(), first.values())
     ]
     return bids, late
 
@@ -145,14 +144,12 @@ def build_settlement(cfg: AuctionConfig, result: ClearingResult) -> SettlementTx
     contribution in ledger order, so the whole funding inflow is accounted
     for: inflow = price * |winners| + all refunds.
     """
-    mints = tuple(w.bidder for w in result.winners)
-    partial = tuple(
-        (w.bidder, w.total - result.clearing_price)
-        for w in result.winners
-        if w.total - result.clearing_price > 0
-    )
-    full = tuple((l.bidder, l.total) for l in result.losers) + tuple(
-        (c.sender, c.amount) for c in result.late_contributions
+    price = result.clearing_price
+    mints = tuple([w.bidder for w in result.winners])
+    partial = tuple([(w.bidder, w.total - price) for w in result.winners if w.total > price])
+    full = tuple(
+        [(l.bidder, l.total) for l in result.losers]
+        + [(c.sender, c.amount) for c in result.late_contributions]
     )
     return SettlementTx(
         auction_id=cfg.auction_id,
@@ -189,7 +186,10 @@ def encode_settlement(tx: SettlementTx) -> bytes:
             if len(addr) != 20:
                 raise ValueError("entry address must be 20 bytes")
             out += addr
-            out += encode_amount(amount)
+            if type(amount) is int and 0 <= amount < AMOUNT_LIMIT:
+                out += amount.to_bytes(16, "big")
+            else:
+                out += encode_amount(amount)  # raises what a bad amount raises
     out += bytes(8)  # the nonce, always 0
     return bytes(out)
 

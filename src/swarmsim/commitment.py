@@ -11,7 +11,6 @@ against an exchanged root.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 from .auction import AggregatedBid
 
@@ -39,7 +38,7 @@ def encode_bid_leaf(bid: AggregatedBid) -> bytes:
     return (
         bid.bidder
         + bid.total.to_bytes(16, "big")
-        + struct.pack(">Q", bid.first_height)
+        + bid.first_height.to_bytes(8, "big")
         + bid.first_tx
     )
 
@@ -54,25 +53,30 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(NODE_PREFIX + left + right).digest()
 
 
+def _parent_level(level: list[bytes]) -> list[bytes]:
+    pairs = iter(level)
+    parents = [_node_hash(left, right) for left, right in zip(pairs, pairs)]
+    if len(level) % 2 == 1:
+        parents.append(level[-1])  # odd tail promoted unchanged
+    return parents
+
+
 def _levels(leaves: list[bytes]) -> list[list[bytes]]:
     """All tree levels bottom-up, starting from the leaf hashes."""
-    level = [leaf_hash(l) for l in leaves]
-    levels = [level]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(_node_hash(level[i], level[i + 1]))
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])  # odd tail promoted unchanged
-        level = nxt
-        levels.append(level)
+    levels = [[leaf_hash(l) for l in leaves]]
+    while len(levels[-1]) > 1:
+        levels.append(_parent_level(levels[-1]))
     return levels
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
+    """The top of `_levels(leaves)`, holding one level at a time."""
     if not leaves:
         return hashlib.sha256(EMPTY_PREFIX).digest()
-    return _levels(leaves)[-1][0]
+    level = [leaf_hash(l) for l in leaves]
+    while len(level) > 1:
+        level = _parent_level(level)
+    return level[0]
 
 
 def bid_list_root(sorted_bids: list[AggregatedBid]) -> bytes:

@@ -86,26 +86,21 @@ def oracle_from_contributions(
         else:
             outside.append((sender, amount))
 
-    records = [
-        (sender, total, first[sender][0], first[sender][1])
-        for sender, total in totals.items()
-    ]
-
-    def rank(rec):
-        return (-rec[1], rec[2], rec[3], rec[0])
-
-    winners = heapq.nsmallest(n_items, records, key=rank)
-    price = winners[-1][1] if winners else 0
-    winner_set = {rec[0] for rec in winners}
-    losers = sorted((rec for rec in records if rec[0] not in winner_set), key=rank)
+    # Rank tuples (-total, first height, first tx id, address) order bids
+    # best first; addresses are distinct, so no two ranks tie.
+    heap = [(-total, *first[sender], sender) for sender, total in totals.items()]
+    heapq.heapify(heap)
+    winners = [heapq.heappop(heap) for _ in range(min(n_items, len(heap)))]
+    price = -winners[-1][0] if winners else 0
+    heap.sort()  # the losers
 
     tx = SettlementTx(
         auction_id=auction_id,
-        mints=tuple(rec[0] for rec in winners),
+        mints=tuple([rank[3] for rank in winners]),
         partial_refunds=tuple(
-            (rec[0], rec[1] - price) for rec in winners if rec[1] - price > 0
+            [(rank[3], -rank[0] - price) for rank in winners if -rank[0] > price]
         ),
-        full_refunds=tuple((rec[0], rec[1]) for rec in losers) + tuple(outside),
+        full_refunds=tuple([(rank[3], -rank[0]) for rank in heap] + outside),
     )
     return tx, price
 

@@ -13,6 +13,7 @@ import hashlib
 import struct
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ADDRESS_LEN = 20
 AMOUNT_LIMIT = 1 << 128  # exclusive upper bound imposed by the 16-byte encoding
@@ -70,8 +71,7 @@ def encode_amount(value: int) -> bytes:
     return check_amount(value).to_bytes(16, "big")
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     sender: bytes
     amount: int
     block_height: int
@@ -158,7 +158,7 @@ class Ledger:
         and identical runs yield identical ids.
         """
         check_address(sender)
-        check_amount(amount)
+        check_amount(amount)  # the one check: the tx id below writes the bytes itself
         if amount == 0:
             raise ZeroAmount("funding amount must be positive")
         if at_height < self.next_height:
@@ -167,9 +167,8 @@ class Ledger:
             )
         tx_id = hashlib.sha256(
             sender
-            + encode_amount(amount)
-            + struct.pack(">Q", at_height)
-            + struct.pack(">Q", self._seq)
+            + amount.to_bytes(16, "big")
+            + struct.pack(">QQ", at_height, self._seq)
         ).digest()
         self._seq += 1
         tx = Contribution(sender=sender, amount=amount, block_height=at_height, tx_id=tx_id)

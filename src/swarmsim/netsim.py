@@ -186,7 +186,7 @@ class WrongRootFault(_Fault):
                 tx = events[victim].payload
                 events[victim] = dataclasses.replace(
                     events[victim],
-                    payload=dataclasses.replace(tx, amount=tx.amount + 1),
+                    payload=tx._replace(amount=tx.amount + 1),
                 )
             self._released = True
             self._buffer = []

@@ -19,6 +19,7 @@ import re
 import struct
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agent import AGENT_MEASUREMENT
 from .consensus import RoundConfig
@@ -72,8 +73,7 @@ def _stream_rng(tag: bytes, seed: int) -> random.Random:
 # -- scenario model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BidderEntry:
+class BidderEntry(NamedTuple):
     address: bytes
     amount: int
     height: int

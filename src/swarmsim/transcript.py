@@ -14,8 +14,13 @@ import json
 SCHEMA_VERSION = 1
 
 
+# One encoder for every line: json.dumps with these arguments builds a new one
+# per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 class Transcript:

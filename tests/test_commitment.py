@@ -1,6 +1,5 @@
 """Merkle commitments over ranked bid lists: roots, proofs, sensitivity."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -136,12 +135,12 @@ FIELDS = ("bidder", "total", "first_height", "first_tx")
 
 def perturb(b, field):
     if field == "bidder":
-        return dataclasses.replace(b, bidder=bytes([b.bidder[0] ^ 1]) + b.bidder[1:])
+        return b._replace(bidder=bytes([b.bidder[0] ^ 1]) + b.bidder[1:])
     if field == "total":
-        return dataclasses.replace(b, total=b.total + 1)
+        return b._replace(total=b.total + 1)
     if field == "first_height":
-        return dataclasses.replace(b, first_height=b.first_height + 1)
-    return dataclasses.replace(b, first_tx=bytes([b.first_tx[0] ^ 1]) + b.first_tx[1:])
+        return b._replace(first_height=b.first_height + 1)
+    return b._replace(first_tx=bytes([b.first_tx[0] ^ 1]) + b.first_tx[1:])
 
 
 @settings(max_examples=60, deadline=None)

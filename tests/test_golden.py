@@ -9,10 +9,13 @@ late fundings drive, with and without a wrong-root agent. A deliberate
 change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 """
 
+import json
+
 import pytest
 
 from swarmsim.harness import run_scenario_dict
 from swarmsim.scenario import build_scenario_dict
+from swarmsim.transcript import Transcript, canonical_json
 
 
 def _partition_with_drops() -> dict:
@@ -122,3 +125,41 @@ def test_golden_transcript(name):
     assert report.outcome == outcome
     assert tr.body_hash().hex() == body_hash
     assert report.transcript_hash == body_hash
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
+    # canonical_json reuses one encoder; every object a golden run writes must
+    # come out as json.dumps with the same arguments writes it
+    added = []
+    add = Transcript.add
+
+    def recording_add(self, obj):
+        added.append(obj)
+        add(self, obj)
+
+    monkeypatch.setattr(Transcript, "add", recording_add)
+    tr, _ = run_scenario_dict(GOLDEN[name][0]())
+    assert len(added) == len(tr.lines) > 0
+    for obj, line in zip(added, tr.lines):
+        assert canonical_json(obj) == dumps(obj) == line
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": [1, {"d": None, "c": [True, False]}], "a": {"z": {}, "y": []}},
+        {"naïve": "Zürich ✓ 😀", "\u0000": "\x7f\n\"\\"},
+        {"amount": 2**128, "neg": -(2**128) + 1, "list": [2**128 - 1, 0]},
+        [1.5, -0.0, 1e300, "x"],
+        "bare string",
+        2**128,
+        None,
+    ],
+)
+def test_canonical_json_equals_json_dumps_on_odd_values(obj):
+    assert canonical_json(obj) == dumps(obj)
