@@ -128,6 +128,7 @@ class SendPeer:
 @dataclass(frozen=True)
 class SubmitSettlement:
     tx: SettlementTx
+    digest: bytes  # the digest the shares sign, so the submit line need not re-encode tx
     shares: tuple[SignatureShare, ...]
 
 
@@ -490,7 +491,7 @@ class Agent:
                 digest=self.digest.hex(),
             )
         )
-        actions.append(SubmitSettlement(tx=self.tx, shares=shares))
+        actions.append(SubmitSettlement(tx=self.tx, digest=self.digest, shares=shares))
         return actions
 
     def _nack(self, to: int, round_index: int, reason: str, **detail) -> list[AgentAction]:

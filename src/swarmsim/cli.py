@@ -8,10 +8,13 @@ fraudulently, 4 stuck, 1 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 
-from . import harness, scenario
+from . import harness, scenario, transcript
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,7 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a scenario to quiescence and classify the outcome"
     )
     run_p.add_argument("scenario", help="scenario JSON file")
-    run_p.add_argument("--transcript", metavar="PATH", help="write the JSONL transcript")
+    run_p.add_argument(
+        "--transcript", metavar="PATH", help="write the JSONL transcript as the run goes"
+    )
     run_p.add_argument("--report", metavar="PATH", help="write the JSON run report")
 
     ver_p = sub.add_parser(
@@ -81,14 +86,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _replace_on_success(path: str):
+    """Open a sibling of `path` for writing and move it onto `path` once the
+    block succeeds; on any error remove it, so a failed run leaves no file."""
+    part = path + ".part"
+    fh = open(part, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def _cmd_run(args) -> int:
     try:
-        tr, report = harness.run_scenario(args.scenario)
+        data, raw = scenario.load_scenario(args.scenario)
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
-    if args.transcript:
-        tr.write(args.transcript)
+    # opened before the run, so an unwritable path fails at once
+    out = _replace_on_success(args.transcript) if args.transcript else contextlib.nullcontext()
+    with out as fh:
+        sink = None if fh is None else functools.partial(transcript.stream_to, fh)
+        report = harness.run_scenario_dict(data, raw, sink)[1]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)

@@ -5,7 +5,8 @@ The runner wires ledger + agents + network for a parsed scenario (see
 scenario.py), executes to quiescence, then classifies the outcome against an
 oracle that re-derives the expected settlement straight from the scenario
 inputs through its own tx-id encoding, aggregation and selection code.
-Verification replays a scenario and diffs the stored transcript line by line.
+Verification replays a scenario and compares each replayed line with the
+stored one as it is added, stopping at the first divergence.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import contextlib
 import functools
 import hashlib
 import heapq
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from itertools import chain, repeat
 
 from . import netsim, wallet
 from .agent import PHASE_ABORTED, Agent, EnclaveMock
@@ -152,10 +154,18 @@ class RunReport:
         return lines
 
 
-def run_scenario_dict(data: dict, raw: bytes | None = None) -> tuple[Transcript, RunReport]:
+# Called once with the transcript header; returns the consumer of each body line.
+Sink = Callable[[dict], Callable[[str], None]]
+
+
+def run_scenario_dict(
+    data: dict, raw: bytes | None = None, sink: Sink | None = None
+) -> tuple[Transcript, RunReport]:
+    """Run and classify. Without a `sink` the returned transcript keeps its
+    lines; with one, each line goes to the sink's consumer instead."""
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
-    tr, _, report = _run(parse_scenario(data, raw))
+    tr, _, report = _run(parse_scenario(data, raw), sink)
     return tr, report()
 
 
@@ -163,7 +173,7 @@ def run_scenario(path: str) -> tuple[Transcript, RunReport]:
     return run_scenario_dict(*load_scenario(path))
 
 
-def _run(sc: Scenario) -> tuple:
+def _run(sc: Scenario, sink: Sink | None = None) -> tuple:
     """Execute to quiescence and classify. Returns the transcript, the outcome,
     and a call that builds the run report."""
     enclaves = [EnclaveMock(agent_signing_key(sc.seed, i)) for i in range(sc.n)]
@@ -201,7 +211,7 @@ def _run(sc: Scenario) -> tuple:
         "sig_scheme": wallet.SIG_SCHEME,
         "scenario_hash": hashlib.sha256(sc.raw_bytes).hexdigest(),
     }
-    tr = Transcript(header)
+    tr = Transcript(header, None if sink is None else sink(header))
     sim = Simulation(
         ledger=ledger,
         agents=agents,
@@ -307,8 +317,24 @@ class VerifyResult:
     outcome: str | None = None
 
 
+class _Diverged(Exception):
+    """Raised by verify's line consumer to stop the replay at the first
+    divergence; carries the verdict."""
+
+
+def _divergence(line_number: int, got: str | None, expected: str | None) -> VerifyResult:
+    return VerifyResult(
+        False,
+        "divergence",
+        line_number=line_number,
+        got="<missing line>" if got is None else got,
+        expected="<missing line>" if expected is None else expected,
+    )
+
+
 def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
-    """Replay the scenario, then diff each stored line against the rerun as it is read."""
+    """Replay the scenario, comparing each replayed line with the next stored
+    line as it is added; the replay stops at the first divergence."""
     data, raw_scn = load_scenario(scenario_path)
     with contextlib.closing(load_lines(transcript_path)) as stored:
         try:
@@ -331,18 +357,21 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
         if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:
             return VerifyResult(False, "header_mismatch")
 
-        fresh_tr, outcome = _run(sc)[:2]  # drops the report call and what it holds
-        pairs = enumerate(zip_longest(stored, fresh_tr.lines), start=2)  # line 1 is the header
+        # line 1 is the header; None stands for every line past the stored end
+        numbered = enumerate(chain(stored, repeat(None)), start=2)
+
+        def compare(expected: str) -> None:
+            line_number, got = next(numbered)
+            if got != expected:
+                raise _Diverged(_divergence(line_number, got, expected))
+
         try:
-            for line_number, (got, expected) in pairs:
-                if got != expected:
-                    return VerifyResult(
-                        False,
-                        "divergence",
-                        line_number=line_number,
-                        got="<missing line>" if got is None else got,
-                        expected="<missing line>" if expected is None else expected,
-                    )
+            outcome = _run(sc, lambda _header: compare)[1]  # drops the report call
+            line_number, extra = next(numbered)
+        except _Diverged as exc:
+            return exc.args[0]
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
+    if extra is not None:
+        return _divergence(line_number, extra, None)
     return VerifyResult(True, "ok", outcome=outcome)

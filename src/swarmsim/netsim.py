@@ -24,7 +24,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from . import consensus, wallet
+from . import consensus
 from .agent import (
     Agent,
     AgentAction,
@@ -446,7 +446,7 @@ class Simulation:
                 "t": now,
                 "event": "submit",
                 "agent": agent_index,
-                "digest": wallet.settlement_digest(act.tx).hex(),
+                "digest": act.digest.hex(),
                 "shares": [s.agent_index for s in act.shares],
             }
         )

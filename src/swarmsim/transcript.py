@@ -9,7 +9,9 @@ header line; an empty body hashes to SHA-256 of nothing.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from collections.abc import Callable
 
 SCHEMA_VERSION = 1
 
@@ -24,30 +26,54 @@ def canonical_json(obj) -> str:
 
 
 class Transcript:
-    def __init__(self, header: dict):
+    """Hashes each body line as it is added and hands it to one consumer. The
+    default consumer keeps the lines in `lines`; a consumer that writes or
+    compares each line instead leaves `lines` empty, so nothing holds the body."""
+
+    def __init__(self, header: dict, consume: Callable[[str], None] | None = None):
         self.header = dict(header)
         self.lines: list[str] = []
+        self._consume = self.lines.append if consume is None else consume
+        self._hash = hashlib.sha256()
 
     def add(self, obj: dict) -> None:
-        self.lines.append(canonical_json(obj))
+        line = canonical_json(obj)
+        self._hash.update((line + "\n").encode("utf-8"))
+        self._consume(line)
 
     def body_hash(self) -> bytes:
-        return hash_body_lines(self.lines)
+        return self._hash.digest()
 
     def text(self) -> str:
-        return "".join(line + "\n" for line in [canonical_json(self.header), *self.lines])
+        buf = io.StringIO()
+        self._copy_to(buf)
+        return buf.getvalue()
 
     def write(self, path: str) -> None:
-        # Line by line: the joined text of a large run would set its peak memory.
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(self.header) + "\n")
-            for line in self.lines:
-                fh.write(line)
-                fh.write("\n")
+            self._copy_to(fh)
+
+    def _copy_to(self, fh) -> None:
+        write_line = stream_to(fh, self.header)
+        for line in self.lines:
+            write_line(line)
 
     def iter_events(self):
         for line in self.lines:
             yield json.loads(line)
+
+
+def stream_to(fh, header: dict) -> Callable[[str], None]:
+    """The file layout, in one place: write the header line to `fh` and return
+    the consumer that writes each body line after it. Line by line: the joined
+    text of a large run would set its peak memory."""
+    fh.write(canonical_json(header) + "\n")
+
+    def write_line(line: str) -> None:
+        fh.write(line)
+        fh.write("\n")
+
+    return write_line
 
 
 def load_lines(path: str):
@@ -67,7 +93,8 @@ def load_lines(path: str):
 
 
 def hash_body_lines(body_lines: list[str]) -> bytes:
-    # Fed line by line: a joined copy of a large body would set the run's peak memory.
+    """The body hash of lines held whole; `Transcript.add` keeps the same hash
+    running line by line."""
     h = hashlib.sha256()
     for line in body_lines:
         h.update(line.encode("utf-8"))

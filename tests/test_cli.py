@@ -1,10 +1,12 @@
 """Command line behavior and the exit code contract."""
 
+import hashlib
 import json
 
 import pytest
 
-from swarmsim import cli
+from swarmsim import cli, harness
+from swarmsim.netsim import Simulation
 from swarmsim.scenario import build_scenario_dict
 
 
@@ -178,3 +180,46 @@ def test_verify_bad_utf8_past_the_first_read_is_a_schema_mismatch(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err.startswith("schema mismatch: transcript not parseable: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch):
+    made = []
+    run = harness._run
+
+    def recording_run(sc, sink=None):
+        result = run(sc, sink)
+        made.append(result[0])
+        return result
+
+    monkeypatch.setattr(harness, "_run", recording_run)
+    tfile, _ = stored_run(tmp_path)
+    (tr,) = made
+    assert tr.lines == []
+    body = tfile.read_bytes().split(b"\n", 1)[1]
+    assert body.count(b"\n") > 10
+    assert tr.body_hash() == hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_a_run_that_raises_leaves_no_transcript_behind(tmp_path, monkeypatch, existing):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    tfile = tmp_path / "t.jsonl"
+    if existing is not None:
+        tfile.write_text(existing, encoding="utf-8")
+    streaming = []
+
+    def failing_submit(self, agent_index, act, now):
+        # late in the run: the header and many body lines were streamed
+        streaming.append((tmp_path / "t.jsonl.part").exists())
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(Simulation, "_submit", failing_submit)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        cli.main(["run", spath, "--transcript", tfile.as_posix()])
+    assert streaming == [True]
+    left = sorted(path.name for path in tmp_path.iterdir())
+    if existing is None:
+        assert left == ["scenario.json"]
+    else:
+        assert left == ["scenario.json", "t.jsonl"]
+        assert tfile.read_text(encoding="utf-8") == existing

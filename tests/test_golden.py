@@ -13,9 +13,10 @@ import json
 
 import pytest
 
-from swarmsim.harness import run_scenario_dict
+from swarmsim import cli
+from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict
 from swarmsim.scenario import build_scenario_dict
-from swarmsim.transcript import Transcript, canonical_json
+from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 
 
 def _partition_with_drops() -> dict:
@@ -125,6 +126,24 @@ def test_golden_transcript(name):
     assert report.outcome == outcome
     assert tr.body_hash().hex() == body_hash
     assert report.transcript_hash == body_hash
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_streams_the_bytes_that_write_writes(name, tmp_path, capsys):
+    # `run --transcript` writes each line as it is added; the library run
+    # keeps its lines and writes them after
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(GOLDEN[name][0](), indent=2) + "\n", encoding="utf-8")
+    tr, report = run_scenario(spath.as_posix())
+    assert tr.body_hash() == hash_body_lines(tr.lines)
+    written, streamed, rpath = (tmp_path / f for f in ("w.jsonl", "s.jsonl", "r.json"))
+    tr.write(written.as_posix())
+    code = cli.main(
+        ["run", spath.as_posix(), "--transcript", streamed.as_posix(), "--report", rpath.as_posix()]
+    )
+    assert code == EXIT_CODES[report.outcome]
+    assert streamed.read_bytes() == written.read_bytes()
+    assert rpath.read_text(encoding="utf-8") == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def dumps(obj) -> str:

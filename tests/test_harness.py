@@ -357,6 +357,32 @@ def test_verify_rejects_edited_line(tmp_path):
     assert result.got != result.expected
 
 
+def test_verify_stops_the_replay_at_the_first_divergence(tmp_path, monkeypatch):
+    spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
+    tr, _ = run_scenario(spath.as_posix())
+    tpath = tmp_path / "t.jsonl"
+    tr.write(tpath.as_posix())
+    calls = []
+    aggregate = auction.aggregate
+
+    def counting_aggregate(*args):
+        calls.append(1)
+        return aggregate(*args)
+
+    monkeypatch.setattr(auction, "aggregate", counting_aggregate)
+    assert verify_transcript(tpath.as_posix(), spath.as_posix()).accepted
+    assert len(calls) >= 3  # at least one clearing per agent in a full replay
+
+    lines = tr.text().splitlines()
+    lines[1] = lines[1].replace("{", '{"x":1,', 1)  # body line 1
+    tpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls.clear()
+    result = verify_transcript(tpath.as_posix(), spath.as_posix())
+    assert (result.reason, result.line_number) == ("divergence", 2)
+    assert result.got == lines[1] and result.expected == tr.lines[0]
+    assert calls == []
+
+
 def test_verify_rejects_foreign_scenario(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     other = write_scenario(tmp_path, build_scenario_dict(seed=22), name="other.json")

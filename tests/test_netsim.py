@@ -1,8 +1,9 @@
 """Discrete-event network: delays, drops, partitions, fault wrappers."""
 
 import json
+import sys
 
-from swarmsim import harness
+from swarmsim import harness, wallet
 from swarmsim.ledger import Ledger
 from swarmsim.netsim import NetConfig, Simulation
 from swarmsim.scenario import build_scenario_dict
@@ -209,3 +210,20 @@ def test_max_time_cuts_the_run_short():
     assert rep.max_time_exceeded is True
     assert rep.outcome == "STUCK"
     assert any(ev.get("event") == "max_time_exceeded" for ev in tr.iter_events())
+
+
+def test_the_submit_line_reuses_the_digest_the_proposer_signed(monkeypatch):
+    # the ledger encodes the submitted tx once; the submit line does not again
+    callers = []
+    encode = wallet.encode_settlement
+
+    def recording_encode(tx):
+        callers.append(sys._getframe(2).f_code.co_name)  # settlement_digest's caller
+        return encode(tx)
+
+    monkeypatch.setattr(wallet, "encode_settlement", recording_encode)
+    tr, rep = run(scenario())
+    assert rep.outcome == "SETTLED_CORRECT"
+    assert "execute_settlement" in callers and "_submit" not in callers
+    submits = events(tr, "submit")
+    assert submits and {ev["digest"] for ev in submits} == {rep.executed["digest"]}
