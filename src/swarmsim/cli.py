@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import sys
@@ -182,6 +183,11 @@ def main(argv=None) -> int:
         # --help exits 0, usage errors exit 1; surface either as a return
         return int(exc.code or 0)
     command = {"run": _cmd_run, "verify": _cmd_verify, "gen": _cmd_gen}[args.command]
+    # A run and its verify replay build no reference cycles (tests/test_golden.py
+    # checks it), so the cyclic collector would only walk their heap and free
+    # nothing; it is paused for the command and left as the caller had it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return command(args)
     except scenario.InvalidScenario as exc:
@@ -191,6 +197,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # the commands report their own read errors
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

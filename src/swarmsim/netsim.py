@@ -270,12 +270,14 @@ def _ledger_line(ev: LedgerEvent) -> dict:
             "kind": "settlement_executed",
             "auction_id": r.tx.auction_id.hex(),
             "digest": r.digest.hex(),
-            "mints": [[addr.hex(), 1] for addr in r.tx.mints],
+            # pairs as tuples, which canonical_json writes as arrays: a list
+            # would hold its two items in a second allocation
+            "mints": [(addr.hex(), 1) for addr in r.tx.mints],
             "partial_refunds": [
-                [addr.hex(), str(amt)] for addr, amt in r.tx.partial_refunds
+                (addr.hex(), str(amt)) for addr, amt in r.tx.partial_refunds
             ],
             "full_refunds": [
-                [addr.hex(), str(amt)] for addr, amt in r.tx.full_refunds
+                (addr.hex(), str(amt)) for addr, amt in r.tx.full_refunds
             ],
             "mint_count": len(r.tx.mints),
             "partial_refund_total": str(r.partial_refund_total),

@@ -38,7 +38,9 @@ class Transcript:
 
     def add(self, obj: dict) -> None:
         line = canonical_json(obj)
-        self._hash.update((line + "\n").encode("utf-8"))
+        # two updates: concatenating first would copy every line once more
+        self._hash.update(line.encode("utf-8"))
+        self._hash.update(b"\n")
         self._consume(line)
 
     def body_hash(self) -> bytes:

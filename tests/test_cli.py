@@ -1,5 +1,6 @@
 """Command line behavior and the exit code contract."""
 
+import gc
 import hashlib
 import json
 
@@ -223,3 +224,70 @@ def test_a_run_that_raises_leaves_no_transcript_behind(tmp_path, monkeypatch, ex
     else:
         assert left == ["scenario.json", "t.jsonl"]
         assert tfile.read_text(encoding="utf-8") == existing
+
+
+@pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+def gc_state(request):
+    """The collector state a caller of cli.main holds; restored after the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_collector_is_paused_while_run_and_verify_execute(tmp_path, monkeypatch, gc_state):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    tpath = (tmp_path / "t.jsonl").as_posix()
+    seen = []
+    run = Simulation.run
+
+    def recording_run(self):
+        seen.append(gc.isenabled())
+        run(self)
+
+    monkeypatch.setattr(Simulation, "run", recording_run)
+    assert cli.main(["run", spath, "--transcript", tpath]) == 0
+    assert gc.isenabled() is gc_state
+    assert cli.main(["verify", tpath, spath]) == 0
+    assert gc.isenabled() is gc_state
+    assert seen == [False, False]
+
+
+def _invalid_scenario(tmp_path, monkeypatch):
+    data = build_scenario_dict()
+    data["agents"]["m"] = 5
+    return ["run", write(tmp_path, data)], 1
+
+
+def _unwritable_transcript(tmp_path, monkeypatch):
+    target = (tmp_path / "missing" / "dir" / "t.jsonl").as_posix()
+    return ["run", write(tmp_path, build_scenario_dict(seed=11)), "--transcript", target], 1
+
+
+def _raising_run(tmp_path, monkeypatch):
+    # the failure of test_a_run_that_raises_leaves_no_transcript_behind
+    def failing_submit(self, agent_index, act, now):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(Simulation, "_submit", failing_submit)
+    target = (tmp_path / "t.jsonl").as_posix()
+    return ["run", write(tmp_path, build_scenario_dict(seed=11)), "--transcript", target], None
+
+
+def _success(tmp_path, monkeypatch):
+    return ["run", write(tmp_path, build_scenario_dict(seed=11))], 0
+
+
+@pytest.mark.parametrize(
+    "exit_path", [_success, _invalid_scenario, _unwritable_transcript, _raising_run]
+)
+def test_every_exit_path_leaves_the_collector_as_the_caller_had_it(
+    tmp_path, monkeypatch, capsys, gc_state, exit_path
+):
+    argv, code = exit_path(tmp_path, monkeypatch)
+    if code is None:
+        with pytest.raises(RuntimeError, match="injected failure"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    assert gc.isenabled() is gc_state

@@ -9,13 +9,14 @@ late fundings drive, with and without a wrong-root agent. A deliberate
 change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 """
 
+import gc
 import json
 
 import pytest
 
 from swarmsim import cli
-from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict
-from swarmsim.scenario import build_scenario_dict
+from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
+from swarmsim.scenario import build_scenario_dict, load_scenario
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 
 
@@ -144,6 +145,26 @@ def test_cli_streams_the_bytes_that_write_writes(name, tmp_path, capsys):
     assert code == EXIT_CODES[report.outcome]
     assert streamed.read_bytes() == written.read_bytes()
     assert rpath.read_text(encoding="utf-8") == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
+    # cli.main pauses the cyclic collector for a whole command, which holds no
+    # garbage back only while a run and its verify replay leave no cycle to free
+    spath, tpath = tmp_path / "scenario.json", tmp_path / "t.jsonl"
+    spath.write_text(json.dumps(GOLDEN[name][0](), indent=2) + "\n", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        tr, report = run_scenario_dict(*load_scenario(spath.as_posix()))
+        tr.write(tpath.as_posix())
+        result = verify_transcript(tpath.as_posix(), spath.as_posix())
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.accepted and result.outcome == report.outcome
 
 
 def dumps(obj) -> str:
