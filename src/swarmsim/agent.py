@@ -212,11 +212,15 @@ class Agent:
     # -- handlers ----------------------------------------------------------
 
     def on_ledger_event(self, ev: LedgerEvent, now: int) -> list[AgentAction]:
-        key = ev.order_key()
+        key = (ev.height, ev.index)
         if self._last_key is not None and key <= self._last_key:
             raise OutOfOrderEvent(f"event at {key} after {self._last_key}")
         self._last_key = key
 
+        if ev.kind == FUNDING_RECEIVED and self.phase == PHASE_MONITORING:
+            # the bulk of every run: `_on_funding` would only append it
+            self.view.append(ev.payload)
+            return []
         if self.phase == PHASE_ABORTED or self.phase == PHASE_DONE:
             if ev.kind == SETTLEMENT_EXECUTED and self.phase == PHASE_ABORTED:
                 return [self._log("settled_after_abort", digest=ev.payload.digest.hex())]

@@ -98,9 +98,8 @@ BLOCK_SEALED = "BlockSealed"
 SETTLEMENT_EXECUTED = "SettlementExecuted"
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
-    """One entry of the totally ordered chain log.
+class LedgerEvent(NamedTuple):
+    """One entry of the totally ordered chain log, ordered by (height, index).
 
     `payload` is the record matching `kind`: a Contribution, the tuple of
     Contributions a block sealed, or a SettlementReceipt.
@@ -110,9 +109,6 @@ class LedgerEvent:
     height: int
     index: int
     payload: object
-
-    def order_key(self) -> tuple[int, int]:
-        return (self.height, self.index)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class Ledger:
             + struct.pack(">QQ", at_height, self._seq)
         ).digest()
         self._seq += 1
-        tx = Contribution(sender=sender, amount=amount, block_height=at_height, tx_id=tx_id)
+        tx = Contribution(sender, amount, at_height, tx_id)
         self._queues.setdefault(at_height, []).append(tx)
         return tx_id
 
@@ -180,14 +176,15 @@ class Ledger:
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
         self.next_height += 1
+        append = self.events.append
         for i, tx in enumerate(txs):
             self.balance += tx.amount
-            self._emit(FUNDING_RECEIVED, height, i, tx)
+            append(LedgerEvent(FUNDING_RECEIVED, height, i, tx))
         self._emit(BLOCK_SEALED, height, len(txs), txs)
         return height
 
     def _emit(self, kind: str, height: int, index: int, payload) -> None:
-        self.events.append(LedgerEvent(kind=kind, height=height, index=index, payload=payload))
+        self.events.append(LedgerEvent(kind, height, index, payload))
 
     # -- settlement ----------------------------------------------------------
 

@@ -184,9 +184,8 @@ class WrongRootFault(_Fault):
             if in_window:
                 victim = in_window[self.spec.perturb_seed % len(in_window)]
                 tx = events[victim].payload
-                events[victim] = dataclasses.replace(
-                    events[victim],
-                    payload=tx._replace(amount=tx.amount + 1),
+                events[victim] = events[victim]._replace(
+                    payload=tx._replace(amount=tx.amount + 1)
                 )
             self._released = True
             self._buffer = []
@@ -251,22 +250,23 @@ def apply_fault(agent: Agent, fault: FaultSpec):
 
 
 def _ledger_line(ev: LedgerEvent) -> dict:
-    base = {"h": ev.height, "i": ev.index}
-    if ev.kind == FUNDING_RECEIVED:
-        tx = ev.payload
+    kind, h, i, payload = ev
+    if kind == FUNDING_RECEIVED:
         return {
-            **base,
+            "h": h,
+            "i": i,
             "kind": "funding_received",
-            "sender": tx.sender.hex(),
-            "amount": str(tx.amount),
-            "tx_id": tx.tx_id.hex(),
+            "sender": payload.sender.hex(),
+            "amount": str(payload.amount),
+            "tx_id": payload.tx_id.hex(),
         }
-    if ev.kind == BLOCK_SEALED:
-        return {**base, "kind": "block_sealed", "tx_count": len(ev.payload)}
-    if ev.kind == SETTLEMENT_EXECUTED:
-        r = ev.payload
+    if kind == BLOCK_SEALED:
+        return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
+    if kind == SETTLEMENT_EXECUTED:
+        r = payload
         return {
-            **base,
+            "h": h,
+            "i": i,
             "kind": "settlement_executed",
             "auction_id": r.tx.auction_id.hex(),
             "digest": r.digest.hex(),
@@ -284,7 +284,7 @@ def _ledger_line(ev: LedgerEvent) -> dict:
             "full_refund_total": str(r.full_refund_total),
             "retained": str(r.retained_balance),
         }
-    raise ValueError(f"unknown ledger event kind {ev.kind!r}")
+    raise ValueError(f"unknown ledger event kind {kind!r}")
 
 
 # -- the driver -------------------------------------------------------------------
@@ -376,13 +376,19 @@ class Simulation:
         the same loop after the current event finishes its full fan-out.
         """
         events = self.ledger.events
+        if not events:  # the usual case: one pump follows every heap item
+            return
+        add = self.transcript.add
+        handlers = [a.on_ledger_event for a in self.agents]
         while events:
             ev = events.popleft()
-            self.transcript.add(_ledger_line(ev))
+            add(_ledger_line(ev))
             if ev.kind == FUNDING_RECEIVED:
                 self.inflow += ev.payload.amount
-            for i in range(len(self.agents)):
-                self._exec(i, self.agents[i].on_ledger_event(ev, now), now)
+            for i, handle in enumerate(handlers):
+                actions = handle(ev, now)
+                if actions:
+                    self._exec(i, actions, now)
 
     def _exec(self, agent_index: int, actions: list[AgentAction], now: int) -> None:
         for act in actions:

@@ -16,13 +16,26 @@ from collections.abc import Callable
 SCHEMA_VERSION = 1
 
 
-# One encoder for every line: json.dumps with these arguments builds a new one
-# per call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The stdlib C encoder, built once: `JSONEncoder.encode` builds a new one, with
+# its closures, for every line. These are the arguments `JSONEncoder.iterencode`
+# passes it for this configuration, so the output is `json.dumps(obj,
+# sort_keys=True, separators=(",", ":"))` byte for byte.
+_CONFIG = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_ENCODE = json.encoder.c_make_encoder(
+    None,  # markers: no circular check
+    _CONFIG.default,
+    json.encoder.encode_basestring_ascii,
+    _CONFIG.indent,
+    _CONFIG.key_separator,
+    _CONFIG.item_separator,
+    _CONFIG.sort_keys,
+    _CONFIG.skipkeys,
+    _CONFIG.allow_nan,
+)
 
 
 def canonical_json(obj) -> str:
-    return _CANONICAL.encode(obj)
+    return "".join(_ENCODE(obj, 0))
 
 
 class Transcript:

@@ -199,7 +199,17 @@ def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
         "bare string",
         2**128,
         None,
+        {"mints": [("aa", 1), ("bb", 1)], "pairs": ((("x", "1"),),)},  # `_ledger_line`'s pairs
+        {10: "int keys sort as ints", 2: "then print as strings"},
+        {"raw": b"\x00"},  # refused with json.dumps's TypeError
     ],
 )
 def test_canonical_json_equals_json_dumps_on_odd_values(obj):
-    assert canonical_json(obj) == dumps(obj)
+    # equal output, or the same error where json.dumps refuses the value
+    def outcome(encode):
+        try:
+            return encode(obj)
+        except TypeError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(canonical_json) == outcome(dumps)

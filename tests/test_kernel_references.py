@@ -3,14 +3,16 @@
 Each reference below is the straightforward form the kernel had before it
 was tuned for large populations: `aggregate` through `window.contains` and
 two dict probes per contribution, `canonical_sort` with a key of its own,
-`encode_settlement` through `encode_amount` on every amount, `merkle_root`
-by index pairs over every level, and the oracle's winner selection by
-`heapq.nsmallest` over an intermediate record list. The tuned kernel must
-give equal values on every input, and raise the same errors on bad amounts.
+`encode_settlement` through `encode_amount` on every amount, `encode_bid_leaf`
+by field name, `merkle_root` by index pairs over every level, and the
+oracle's winner selection by `heapq.nsmallest` over an intermediate record
+list. The tuned kernel must give equal values on every input, and raise the
+same errors on bad amounts and malformed bids.
 """
 
 import hashlib
 import heapq
+import itertools
 import random
 import struct
 
@@ -99,6 +101,17 @@ def reference_encode_settlement(tx):
             out += encode_amount(amount)
     out += struct.pack(">Q", 0)
     return bytes(out)
+
+
+def reference_encode_bid_leaf(bid):
+    if len(bid.bidder) != 20 or len(bid.first_tx) != 32:
+        raise ValueError("malformed bid fields")
+    return (
+        bid.bidder
+        + bid.total.to_bytes(16, "big")
+        + bid.first_height.to_bytes(8, "big")
+        + bid.first_tx
+    )
 
 
 def reference_merkle_root(leaves):
@@ -257,6 +270,31 @@ def test_append_full_refund_raises_what_the_reference_raises(amount):
     assert raised(append_full_refund, tx, encode_settlement(tx), (b"\xaa" * 20, amount)) == (
         raised(reference_encode_settlement, bad)
     )
+
+
+# -- exception parity on malformed bids --------------------------------------------
+
+MALFORMED = {
+    "bidder": b"\xaa" * 19,
+    "first_tx": b"\x01" * 31,
+    "total": AMOUNT_LIMIT,
+    "first_height": -1,
+}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [c for r in range(1, 5) for c in itertools.combinations(sorted(MALFORMED), r)],
+    ids="+".join,
+)
+def test_bid_list_root_raises_what_encode_bid_leaf_raises(fields):
+    # each bad field alone and with the others, so the order of the checks shows
+    good = AggregatedBid(b"\xbb" * 20, 5, 3, b"\x02" * 32)
+    bad = good._replace(**{f: MALFORMED[f] for f in fields})
+    expected = raised(reference_encode_bid_leaf, bad)
+    assert expected[0] in (ValueError, OverflowError)
+    assert raised(encode_bid_leaf, bad) == expected
+    assert raised(bid_list_root, [good, bad]) == expected
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ def test_event_stream_is_totally_ordered():
     led.submit_funding(B, 2, 0)
     led.seal_block()
     led.seal_block()
-    keys = [ev.order_key() for ev in led.events]
+    keys = [(ev.height, ev.index) for ev in led.events]
     assert keys == sorted(keys)
     assert [ev.kind for ev in led.events] == [
         FUNDING_RECEIVED,
