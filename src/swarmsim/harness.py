@@ -223,32 +223,38 @@ def _run(sc: Scenario, sink: Sink | None = None) -> tuple:
     )
     sim.run()
 
-    oracle_tx, oracle_price = oracle_settlement(sc)
-    oracle_digest = wallet.settlement_digest(oracle_tx)
     receipt = next(iter(ledger.settled.values()), None)
     settlements = ledger.settlement_count()
-    outcome = _classify(receipt, agents, oracle_digest)
+    aborted = any(a.phase == PHASE_ABORTED for a in agents)
     rounds_used = max((a.round + 1 for a in agents), default=0)
+    counts, inflow, max_time_exceeded = sim.counts, sim.inflow, sim.max_time_exceeded
+    # Free the simulation before the oracle, whose transients then reuse the
+    # memory the agents and their settlement txs held.
+    del sim, agents, ledger, enclaves, policy, submissions
+
+    oracle_tx, oracle_price = oracle_settlement(sc)
+    oracle_digest = wallet.settlement_digest(oracle_tx)
+    outcome = _classify(receipt, aborted, oracle_digest)
     tr.add(
         {
             "event": "run_outcome",
             "outcome": outcome,
             "settlements": settlements,
-            "max_time_exceeded": sim.max_time_exceeded,
+            "max_time_exceeded": max_time_exceeded,
         }
     )
     return tr, outcome, functools.partial(
         _build_report, tr, outcome, receipt, settlements, rounds_used, oracle_tx,
-        oracle_price, oracle_digest, sim.counts, sim.inflow, sim.max_time_exceeded,
+        oracle_price, oracle_digest, counts, inflow, max_time_exceeded,
     )
 
 
-def _classify(receipt: SettlementReceipt | None, agents: list, oracle_digest: bytes) -> str:
+def _classify(receipt: SettlementReceipt | None, aborted: bool, oracle_digest: bytes) -> str:
     if receipt is not None:
         if receipt.digest == oracle_digest:
             return OUTCOME_SETTLED_CORRECT
         return OUTCOME_SETTLED_FRAUDULENT
-    if any(a.phase == PHASE_ABORTED for a in agents):
+    if aborted:
         return OUTCOME_ABORTED
     return OUTCOME_STUCK
 

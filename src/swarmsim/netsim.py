@@ -44,7 +44,7 @@ from .ledger import (
     Ledger,
     LedgerEvent,
 )
-from .transcript import Transcript
+from .transcript import Transcript, canonical_json_sliced
 
 FAULT_CRASH = "crash"
 FAULT_SILENT = "silent"
@@ -263,6 +263,9 @@ def _ledger_line(ev: LedgerEvent) -> dict:
     if kind == BLOCK_SEALED:
         return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
     if kind == SETTLEMENT_EXECUTED:
+        # The three lists as generators, for `canonical_json_sliced`: one
+        # slice of hex strings and pairs is alive at a time, never the whole
+        # batch. Pairs are tuples, which it writes as arrays.
         r = payload
         return {
             "h": h,
@@ -270,15 +273,9 @@ def _ledger_line(ev: LedgerEvent) -> dict:
             "kind": "settlement_executed",
             "auction_id": r.tx.auction_id.hex(),
             "digest": r.digest.hex(),
-            # pairs as tuples, which canonical_json writes as arrays: a list
-            # would hold its two items in a second allocation
-            "mints": [(addr.hex(), 1) for addr in r.tx.mints],
-            "partial_refunds": [
-                (addr.hex(), str(amt)) for addr, amt in r.tx.partial_refunds
-            ],
-            "full_refunds": [
-                (addr.hex(), str(amt)) for addr, amt in r.tx.full_refunds
-            ],
+            "mints": ((addr.hex(), 1) for addr in r.tx.mints),
+            "partial_refunds": ((addr.hex(), str(amt)) for addr, amt in r.tx.partial_refunds),
+            "full_refunds": ((addr.hex(), str(amt)) for addr, amt in r.tx.full_refunds),
             "mint_count": len(r.tx.mints),
             "partial_refund_total": str(r.partial_refund_total),
             "full_refund_total": str(r.full_refund_total),
@@ -382,9 +379,12 @@ class Simulation:
         handlers = [a.on_ledger_event for a in self.agents]
         while events:
             ev = events.popleft()
-            add(_ledger_line(ev))
-            if ev.kind == FUNDING_RECEIVED:
-                self.inflow += ev.payload.amount
+            if ev.kind == SETTLEMENT_EXECUTED:
+                self.transcript.add_line(canonical_json_sliced(_ledger_line(ev)))
+            else:
+                add(_ledger_line(ev))
+                if ev.kind == FUNDING_RECEIVED:
+                    self.inflow += ev.payload.amount
             for i, handle in enumerate(handlers):
                 actions = handle(ev, now)
                 if actions:

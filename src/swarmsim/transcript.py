@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import islice
 
 SCHEMA_VERSION = 1
 
@@ -34,8 +35,39 @@ _ENCODE = json.encoder.c_make_encoder(
 )
 
 
+# Array items per `canonical_json` call in `canonical_json_sliced`.
+SLICE_ITEMS = 1024
+
+
 def canonical_json(obj) -> str:
     return "".join(_ENCODE(obj, 0))
+
+
+def canonical_json_sliced(obj: dict) -> str:
+    """`canonical_json` of a dict with str keys whose iterator values are
+    written as JSON arrays, `SLICE_ITEMS` items per encoder call, so only one
+    slice of items is alive at a time. The pieces are joined once, at the end:
+    joining each array first would copy it once more."""
+    parts = ["{"]
+    for key in sorted(obj):
+        if len(parts) > 1:
+            parts.append(",")
+        parts.append(canonical_json(key))
+        parts.append(":")
+        value = obj[key]
+        if not isinstance(value, Iterator):
+            parts.append(canonical_json(value))
+            continue
+        parts.append("[")
+        first = True
+        while chunk := list(islice(value, SLICE_ITEMS)):
+            if not first:
+                parts.append(",")
+            parts.append(canonical_json(chunk)[1:-1])
+            first = False
+        parts.append("]")
+    parts.append("}")
+    return "".join(parts)
 
 
 class Transcript:
@@ -50,7 +82,10 @@ class Transcript:
         self._hash = hashlib.sha256()
 
     def add(self, obj: dict) -> None:
-        line = canonical_json(obj)
+        self.add_line(canonical_json(obj))
+
+    def add_line(self, line: str) -> None:
+        """Add a body line already encoded as canonical JSON."""
         # two updates: concatenating first would copy every line once more
         self._hash.update(line.encode("utf-8"))
         self._hash.update(b"\n")

@@ -11,13 +11,22 @@ change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 
 import gc
 import json
+from collections.abc import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmsim import cli
+from swarmsim import cli, netsim
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
 from swarmsim.scenario import build_scenario_dict, load_scenario
-from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
+from swarmsim.transcript import (
+    SLICE_ITEMS,
+    Transcript,
+    canonical_json,
+    canonical_json_sliced,
+    hash_body_lines,
+)
 
 
 def _partition_with_drops() -> dict:
@@ -173,20 +182,65 @@ def dumps(obj) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
-    # canonical_json reuses one encoder; every object a golden run writes must
-    # come out as json.dumps with the same arguments writes it
+    # canonical_json reuses one encoder and the settlement line is written a
+    # slice at a time; every line a golden run writes must come out as
+    # json.dumps with the same arguments writes the whole object
     added = []
-    add = Transcript.add
+    add, sliced = Transcript.add, netsim.canonical_json_sliced
 
     def recording_add(self, obj):
         added.append(obj)
         add(self, obj)
 
+    def recording_sliced(obj):
+        lazy = {key for key, value in obj.items() if isinstance(value, Iterator)}
+        whole = {key: list(value) if key in lazy else value for key, value in obj.items()}
+        added.append(whole)
+        return sliced({key: iter(value) if key in lazy else value for key, value in whole.items()})
+
     monkeypatch.setattr(Transcript, "add", recording_add)
-    tr, _ = run_scenario_dict(GOLDEN[name][0]())
+    monkeypatch.setattr(netsim, "canonical_json_sliced", recording_sliced)
+    tr, report = run_scenario_dict(GOLDEN[name][0]())
     assert len(added) == len(tr.lines) > 0
+    settled = [obj for obj in added if obj.get("kind") == "settlement_executed"]
+    assert len(settled) == report.on_chain_tx_count
     for obj, line in zip(added, tr.lines):
         assert canonical_json(obj) == dumps(obj) == line
+
+
+_ITEMS = st.one_of(
+    st.integers(min_value=-(2**128), max_value=2**128),
+    st.text(max_size=8),
+    st.tuples(st.text(max_size=8), st.integers(min_value=0, max_value=2**128)),
+    st.tuples(st.text(max_size=8), st.text(max_size=8)),
+)
+_COUNTS = (0, 1, SLICE_ITEMS - 1, SLICE_ITEMS, SLICE_ITEMS + 1, 2 * SLICE_ITEMS + 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(
+            st.tuples(st.sampled_from(_COUNTS), st.lists(_ITEMS, min_size=1, max_size=5)),
+            _ITEMS,
+        ),
+        max_size=5,
+    )
+)
+def test_canonical_json_sliced_equals_json_dumps(spec):
+    # array lengths on each side of the slice boundaries, the settlement
+    # line's 2-tuples, ints up to 2^128 and non-ASCII keys; each array's
+    # items cycle through a few drawn ones
+    whole, lazy = {}, {}
+    for key, value in spec.items():
+        if isinstance(value, tuple) and isinstance(value[1], list):
+            count, pattern = value
+            whole[key] = [pattern[n % len(pattern)] for n in range(count)]
+            lazy[key] = iter(whole[key])
+        else:
+            whole[key] = lazy[key] = value
+    assert canonical_json_sliced(lazy) == dumps(whole)
 
 
 @pytest.mark.parametrize(

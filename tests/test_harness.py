@@ -4,13 +4,14 @@ import copy
 import gc
 import json
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
-from swarmsim import auction, wallet
+from swarmsim import auction, harness, wallet
 from swarmsim.harness import (
     SchemaMismatch,
     _build_report,
@@ -19,8 +20,14 @@ from swarmsim.harness import (
     run_scenario_dict,
     verify_transcript,
 )
-from swarmsim.ledger import FundingWindow, SettlementReceipt
-from swarmsim.netsim import FAULT_KINDS, Simulation
+from swarmsim.ledger import (
+    SETTLEMENT_EXECUTED,
+    FundingWindow,
+    Ledger,
+    LedgerEvent,
+    SettlementReceipt,
+)
+from swarmsim.netsim import FAULT_KINDS, NetConfig, Simulation
 from swarmsim.scenario import (
     InvalidFlags,
     InvalidScenario,
@@ -342,6 +349,66 @@ def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
     assert verify_peak <= 1.08 * run_peak
 
 
+def test_the_settlement_line_is_written_in_three_times_its_length():
+    # the line's arrays are encoded a slice at a time, never held as lists
+    # of hex strings and pairs (6.5 times this line when they were)
+    def address(n):
+        return n.to_bytes(20, "big")
+
+    tx = auction.SettlementTx(
+        auction_id=bytes(32),
+        mints=tuple(address(n) for n in range(14_000)),
+        partial_refunds=tuple((address(n), 2**100 + n) for n in range(2_000)),
+        full_refunds=tuple((address(20_000 + n), 3**60 + n) for n in range(6_000)),
+    )
+    receipt = SettlementReceipt(bytes(32), 1, 2, 3, tx)
+    ledger = Ledger()
+    ledger.events.append(LedgerEvent(SETTLEMENT_EXECUTED, 7, 0, receipt))
+    tr = Transcript({})
+    sim = Simulation(
+        ledger=ledger, agents=[], submissions={}, last_height=0, net=NetConfig(),
+        max_time=0, transcript=tr,
+    )
+    tracemalloc.start()
+    try:
+        sim._pump_ledger(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (line,) = tr.lines
+    assert len(json.loads(line)["full_refunds"]) == 6_000
+    assert peak <= 3 * len(line)
+
+
+def test_a_run_frees_its_ledger_before_the_oracle(monkeypatch):
+    # the oracle's transients reuse the simulation's memory instead of
+    # stacking on it; freed by reference counts, as with the collector paused
+    refs = []
+    alive_at_oracle = []
+    oracle = harness.oracle_settlement
+
+    class TrackedLedger(Ledger):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    def checking_oracle(sc):
+        alive_at_oracle.append([ref() is not None for ref in refs])
+        return oracle(sc)
+
+    monkeypatch.setattr(harness, "Ledger", TrackedLedger)
+    monkeypatch.setattr(harness, "oracle_settlement", checking_oracle)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, report = run_scenario_dict(build_scenario_dict())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert report.outcome == "SETTLED_CORRECT"
+    assert alive_at_oracle == [[False]]
+
+
 def test_verify_rejects_edited_line(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     tr, _ = run_scenario(spath.as_posix())
@@ -369,18 +436,29 @@ def test_verify_stops_the_replay_at_the_first_divergence(tmp_path, monkeypatch):
         calls.append(1)
         return aggregate(*args)
 
+    oracle_calls = []
+    oracle = harness.oracle_settlement
+
+    def counting_oracle(sc):
+        oracle_calls.append(1)
+        return oracle(sc)
+
     monkeypatch.setattr(auction, "aggregate", counting_aggregate)
+    monkeypatch.setattr(harness, "oracle_settlement", counting_oracle)
     assert verify_transcript(tpath.as_posix(), spath.as_posix()).accepted
     assert len(calls) >= 3  # at least one clearing per agent in a full replay
+    assert oracle_calls == [1]
 
     lines = tr.text().splitlines()
     lines[1] = lines[1].replace("{", '{"x":1,', 1)  # body line 1
     tpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
     calls.clear()
+    oracle_calls.clear()
     result = verify_transcript(tpath.as_posix(), spath.as_posix())
     assert (result.reason, result.line_number) == ("divergence", 2)
     assert result.got == lines[1] and result.expected == tr.lines[0]
     assert calls == []
+    assert oracle_calls == []
 
 
 def test_verify_rejects_foreign_scenario(tmp_path):
