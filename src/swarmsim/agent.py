@@ -71,11 +71,17 @@ class AttestationTriple:
     verifying_key: bytes
     attestation: bytes
 
+    @classmethod
+    def quote(cls, measurement: bytes, verifying_key: bytes) -> AttestationTriple:
+        """The triple whose quote binds `measurement` to `verifying_key`."""
+        quote = hashlib.sha256(measurement + verifying_key).digest()
+        return cls(measurement, verifying_key, quote)
+
 
 def verify_attestation(triple: AttestationTriple, expected_measurement: bytes) -> bool:
     """Accept iff the quote binds (measurement, key) and the code is the expected one."""
-    recomputed = hashlib.sha256(triple.measurement + triple.verifying_key).digest()
-    return recomputed == triple.attestation and triple.measurement == expected_measurement
+    recomputed = AttestationTriple.quote(triple.measurement, triple.verifying_key)
+    return recomputed == triple and triple.measurement == expected_measurement
 
 
 class EnclaveMock:
@@ -101,13 +107,7 @@ class EnclaveMock:
         return self._verifying_key
 
     def attest(self) -> AttestationTriple:
-        m = self.measurement
-        vk = self.verifying_key
-        return AttestationTriple(
-            measurement=m,
-            verifying_key=vk,
-            attestation=hashlib.sha256(m + vk).digest(),
-        )
+        return AttestationTriple.quote(self.measurement, self._verifying_key)
 
     def sign(self, digest: bytes) -> bytes:
         return wallet.sign(self._key, digest)
@@ -181,7 +181,6 @@ class Agent:
         self.signed_digest: bytes | None = None
         self.submitted = False
 
-        self._deadlines_seen = 0
         self._signed_share: SignatureShare | None = None
         self._acks: dict[int, SignatureShare] = {}
         self._proposed = False
@@ -260,49 +259,40 @@ class Agent:
     def on_timer(self, now: int) -> list[AgentAction]:
         if self.phase in (PHASE_DONE, PHASE_ABORTED, PHASE_MONITORING):
             return []
-        self._deadlines_seen += 1
-        if self._deadlines_seen >= self.rounds.r_max:
+        if self.round + 1 >= self.rounds.r_max:
             actions = self._abort("rounds_exhausted")
             msg = AbortMsg(round_index=self.round)
             actions += self._broadcast(msg)
             return actions
-        self.round = self._deadlines_seen
+        self.round += 1
         actions: list[AgentAction] = [
             self._log("round", round=self.round),
             SetTimer(self.rounds.round_timeout),
         ]
-        if (
-            proposer_for(self.round, self.policy.n) == self.index
-            and self.index in self.roster
-            and not self.submitted
-        ):
+        if proposer_for(self.round, self.policy.n) == self.index and not self.submitted:
             actions += self._propose(self.round)
         return actions
 
     # -- ledger event details ------------------------------------------------
 
     def _on_funding(self, tx: Contribution) -> list[AgentAction]:
+        # Only cross_validating and signing agents get here, after the window-end
+        # seal, so every funding is a late full refund that never moves the root.
         self.view.append(tx)
-        if self.phase in (PHASE_CROSS_VALIDATING, PHASE_SIGNING) and not (
-            self.auction_cfg.window.contains(tx.block_height)
-        ):
-            # Out-of-window funds only append a full refund (never move the
-            # root): splice it in, no re-clear, so later acks cover it.
-            old = self.digest
-            encoding = self._encoding or auction.encode_settlement(self.tx)
-            self.tx, self._encoding = auction.append_full_refund(
-                self.tx, encoding, (tx.sender, tx.amount)
+        old = self.digest
+        encoding = self._encoding or auction.encode_settlement(self.tx)
+        self.tx, self._encoding = auction.append_full_refund(
+            self.tx, encoding, (tx.sender, tx.amount)
+        )
+        self.digest = hashlib.sha256(self._encoding).digest()
+        return [
+            self._log(
+                "refresh",
+                height=tx.block_height,
+                old_digest=old.hex(),
+                digest=self.digest.hex(),
             )
-            self.digest = hashlib.sha256(self._encoding).digest()
-            return [
-                self._log(
-                    "refresh",
-                    height=tx.block_height,
-                    old_digest=old.hex(),
-                    digest=self.digest.hex(),
-                )
-            ]
-        return []
+        ]
 
     def _on_seal(self, height: int) -> list[AgentAction]:
         if self.phase != PHASE_MONITORING or height != self.auction_cfg.window.end_height:
@@ -318,18 +308,16 @@ class Agent:
             )
         )
         actions.append(SetTimer(self.rounds.round_timeout))
-        if proposer_for(0, self.policy.n) == self.index and self.index in self.roster:
+        if proposer_for(0, self.policy.n) == self.index:
             actions += self._propose(0)
         return actions
 
     def _on_settlement(self, receipt) -> list[AgentAction]:
-        foreign = self.digest is None or receipt.digest != self.digest
+        foreign = receipt.digest != self.digest
         actions = [self._log("settled", digest=receipt.digest.hex(), foreign=foreign)]
         if foreign:
-            own = self.digest.hex() if self.digest else None
-            actions.append(
-                self._log("foreign_settlement", executed=receipt.digest.hex(), own=own)
-            )
+            executed, own = receipt.digest.hex(), self.digest.hex()
+            actions.append(self._log("foreign_settlement", executed=executed, own=own))
         actions.append(self._goto(PHASE_DONE))
         return actions
 
@@ -475,8 +463,7 @@ class Agent:
         return actions
 
     def _maybe_submit(self) -> list[AgentAction]:
-        if self.submitted or self.digest is None or not self._proposed:
-            return []
+        """Submit once a quorum is in hand; callers have proposed, not submitted."""
         indices = set(self._acks) | {self.index}
         if len(indices) < self.policy.m:
             return []

@@ -102,37 +102,9 @@ def body_dict(msg: PeerMessage) -> dict:
     raise TypeError(f"not a peer message: {type(msg).__name__}")
 
 
-def parse_body(data: dict) -> PeerMessage:
-    kind = data.get("type")
-    if kind == "propose":
-        return Propose(
-            round_index=data["round"],
-            root=bytes.fromhex(data["root"]),
-            clearing_price=int(data["clearing_price"]),
-            settlement_digest=bytes.fromhex(data["settlement_digest"]),
-        )
-    if kind == "ack":
-        return Ack(
-            round_index=data["round"],
-            settlement_digest=bytes.fromhex(data["settlement_digest"]),
-            share=SignatureShare(
-                agent_index=data["share"]["agent"],
-                sig=bytes.fromhex(data["share"]["sig"]),
-            ),
-        )
-    if kind == "nack":
-        return Nack(round_index=data["round"], reason=data["reason"])
-    if kind == "abort":
-        return AbortMsg(round_index=data["round"])
-    raise ValueError(f"unknown message type {kind!r}")
-
-
-def body_bytes(msg: PeerMessage) -> bytes:
-    return canonical_json(body_dict(msg)).encode("utf-8")
-
-
 def transport_digest(msg: PeerMessage) -> bytes:
-    return hashlib.sha256(TRANSPORT_DOMAIN + body_bytes(msg)).digest()
+    body = canonical_json(body_dict(msg)).encode("utf-8")
+    return hashlib.sha256(TRANSPORT_DOMAIN + body).digest()
 
 
 @dataclass(frozen=True)

@@ -224,13 +224,7 @@ class BadAttestationFault(_Fault):
         measurement = hashlib.sha256(
             b"swarmsim/tampered/v1" + honest.measurement
         ).digest()
-        return AttestationTriple(
-            measurement=measurement,
-            verifying_key=honest.verifying_key,
-            attestation=hashlib.sha256(
-                measurement + honest.verifying_key
-            ).digest(),
-        )
+        return AttestationTriple.quote(measurement, honest.verifying_key)
 
 
 _FAULT_CLASSES = {

@@ -72,12 +72,13 @@ def canonical_json_sliced(obj: dict) -> str:
 
 class Transcript:
     """Hashes each body line as it is added and hands it to one consumer. The
-    default consumer keeps the lines in `lines`; a consumer that writes or
-    compares each line instead leaves `lines` empty, so nothing holds the body."""
+    default consumer keeps the lines in `lines`; with any other consumer nothing
+    holds the body, and reading it back raises ValueError."""
 
     def __init__(self, header: dict, consume: Callable[[str], None] | None = None):
         self.header = dict(header)
         self.lines: list[str] = []
+        self._streamed = consume is not None
         self._consume = self.lines.append if consume is None else consume
         self._hash = hashlib.sha256()
 
@@ -96,21 +97,27 @@ class Transcript:
 
     def text(self) -> str:
         buf = io.StringIO()
-        self._copy_to(buf)
+        self._copy_to(buf, self._held_lines())
         return buf.getvalue()
 
     def write(self, path: str) -> None:
+        lines = self._held_lines()  # checked first, so a streamed body writes no file
         with open(path, "w", encoding="utf-8") as fh:
-            self._copy_to(fh)
+            self._copy_to(fh, lines)
 
-    def _copy_to(self, fh) -> None:
+    def _copy_to(self, fh, lines: list[str]) -> None:
         write_line = stream_to(fh, self.header)
-        for line in self.lines:
+        for line in lines:
             write_line(line)
 
     def iter_events(self):
-        for line in self.lines:
+        for line in self._held_lines():
             yield json.loads(line)
+
+    def _held_lines(self) -> list[str]:
+        if self._streamed:
+            raise ValueError("the transcript body was streamed, not held")
+        return self.lines
 
 
 def stream_to(fh, header: dict) -> Callable[[str], None]:

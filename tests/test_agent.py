@@ -29,6 +29,7 @@ from swarmsim.auction import AuctionConfig
 from swarmsim.consensus import Ack, AbortMsg, Envelope, Nack, Propose, RoundConfig
 from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
+    BLOCK_SEALED,
     FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
     Contribution,
@@ -389,6 +390,28 @@ def test_out_of_order_ledger_event_raises():
     led = funded_ledger()
     with pytest.raises(OutOfOrderEvent):
         agents[0].on_ledger_event(led.events[0], 9)
+
+
+def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
+    # `_on_funding` splices every funding in as a full refund. That rests on
+    # this: the window-end seal has the highest index of its height, so once
+    # an agent has seen it, any funding inside the window is out of order.
+    agents, _, _, _, _ = ready_world()
+    agent = agents[1]
+    assert agent.phase == PHASE_CROSS_VALIDATING
+    led = funded_ledger()
+    (end_seal,) = [
+        e for e in led.events if e.kind == BLOCK_SEALED and e.height == WINDOW.end_height
+    ]
+    assert end_seal.index == max(e.index for e in led.events if e.height == end_seal.height)
+    in_window = [e for e in led.events if e.kind == FUNDING_RECEIVED]
+    late = Contribution(sender=C, amount=9, block_height=end_seal.height, tx_id=b"\x77" * 32)
+    in_window.append(LedgerEvent(FUNDING_RECEIVED, end_seal.height, end_seal.index, late))
+    for ev in in_window:
+        assert WINDOW.contains(ev.height)
+        with pytest.raises(OutOfOrderEvent):
+            agent.on_ledger_event(ev, 9)
+    assert agent.phase == PHASE_CROSS_VALIDATING and len(agent.view) == 3
 
 
 def test_signing_guard_refuses_second_digest():

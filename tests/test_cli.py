@@ -49,6 +49,35 @@ def test_gen_rejects_bad_window(capsys):
     assert cli.main(["gen", "--window", "5"]) == 1
 
 
+def test_gen_reads_window_delay_and_fault_flags(capsys):
+    argv = ["gen", "--window", "2,6", "--delay", "0,3"]
+    argv += ["--fault", "1:crash:12", "--fault", "2:wrong_root:5"]
+    assert cli.main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["auction"]["window"] == {"start": 2, "end": 6}
+    assert (data["net"]["delay_min"], data["net"]["delay_max"]) == (0, 3)
+    assert data["agents"]["faults"] == [
+        {"agent_index": 1, "kind": "crash", "at_time": 12},
+        {"agent_index": 2, "kind": "wrong_root", "perturb_seed": 5},
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, problem",
+    [
+        ("0", "expected INDEX:KIND[:ARG]"),
+        ("0:crash:1:2", "expected INDEX:KIND[:ARG]"),
+        ("x:silent", "index must be an integer"),
+        ("0:gossip", "kind must be one of"),
+        ("0:crash:soon", "argument must be an integer"),
+    ],
+)
+def test_gen_rejects_a_malformed_fault_flag(capsys, flag, problem):
+    assert cli.main(["gen", "--fault", flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid flags: fault {flag!r}: ") and problem in err
+
+
 def test_run_happy_path(tmp_path, capsys):
     spath = write(tmp_path, build_scenario_dict(seed=11))
     tpath = tmp_path / "t.jsonl"
@@ -140,6 +169,23 @@ def test_verify_malformed_header_is_a_schema_mismatch(tmp_path, capsys, header):
     spath = write(tmp_path, build_scenario_dict(seed=11))
     tfile = tmp_path / "t.jsonl"
     tfile.write_text(header + "\n", encoding="utf-8")
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 1
+    assert capsys.readouterr().err.startswith("schema mismatch: transcript not parseable: ")
+
+
+def test_verify_a_missing_transcript_exits_one(tmp_path, capsys):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    missing = (tmp_path / "absent.jsonl").as_posix()
+    assert cli.main(["verify", missing, spath]) == 1
+    assert capsys.readouterr().err.startswith("cannot read input: ")
+
+
+def test_verify_an_empty_transcript_is_a_schema_mismatch(tmp_path, capsys):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    tfile = tmp_path / "t.jsonl"
+    tfile.write_bytes(b"")
+    with pytest.raises(harness.SchemaMismatch, match="empty transcript file"):
+        harness.verify_transcript(tfile.as_posix(), spath)
     assert cli.main(["verify", tfile.as_posix(), spath]) == 1
     assert capsys.readouterr().err.startswith("schema mismatch: transcript not parseable: ")
 

@@ -23,6 +23,7 @@ from swarmsim.harness import (
 from swarmsim.ledger import (
     SETTLEMENT_EXECUTED,
     FundingWindow,
+    HeightInPast,
     Ledger,
     LedgerEvent,
     SettlementReceipt,
@@ -328,6 +329,31 @@ def test_write_streams_the_transcript(tmp_path):
     expected = "".join(line + "\n" for line in [canonical_json(tr.header), *tr.lines])
     assert path.read_bytes() == expected.encode("utf-8")
     assert peak <= 0.75 * body
+
+
+def streamed_run():
+    """The default scenario, its body streamed to a list; the transcript keeps none."""
+    streamed = []
+    tr, _ = run_scenario_dict(build_scenario_dict(), sink=lambda header: streamed.append)
+    assert len(streamed) > 10 and tr.lines == []
+    return tr
+
+
+def test_a_streamed_transcript_has_no_text():
+    with pytest.raises(ValueError, match="streamed"):
+        streamed_run().text()
+
+
+def test_a_streamed_transcript_writes_no_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match="streamed"):
+        streamed_run().write(path.as_posix())
+    assert not path.exists()
+
+
+def test_a_streamed_transcript_has_no_events_to_iterate():
+    with pytest.raises(ValueError, match="streamed"):
+        next(streamed_run().iter_events())
 
 
 def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
@@ -671,3 +697,22 @@ def test_conservation_fails_when_the_receipt_misses_inflow():
     assert not report(11).conservation_ok
     assert not report(9).conservation_ok
     assert report(11, receipt=None).conservation_ok  # nothing settled, nothing to conserve
+
+
+@pytest.mark.xfail(
+    raises=HeightInPast,
+    strict=True,
+    reason="with m=1 the settlement seals the height a late funding is due at",
+)
+@pytest.mark.parametrize("agents", [1, 3])
+def test_a_single_signature_run_with_a_late_funding_ends_classified(agents):
+    data = build_scenario_dict(seed=7, agents=agents, threshold=1)
+    data["bidders"] = {
+        "explicit": [
+            {"address": bidder_address(7, i).hex(), "amount": str(100 * (i + 1)), "height": h}
+            for i, h in enumerate((1, 2, 3, 6))  # window 1..5, delay_min 1: 6 is the cap
+        ]
+    }
+    _, rep = run_scenario_dict(data)
+    assert rep.outcome in harness.EXIT_CODES
+    assert rep.conservation_ok
