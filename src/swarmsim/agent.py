@@ -7,11 +7,12 @@ actions byte for byte. The signing key lives inside an enclave mock and
 never appears in any action or log.
 
 Phases walk Monitoring -> Computing -> CrossValidating -> Signing -> Done,
-with CrossValidating -> Computing allowed for a conflict re-check and any
-phase -> Aborted. Signature shares are produced lazily: a validator signs
-when it acks, a proposer signs its own share only once a quorum of acks is
-in hand, and no agent ever signs two different settlement digests in one
-run.
+with CrossValidating -> Computing allowed for a conflict re-check,
+CrossValidating -> Done for an agent that never signed and sees the
+settlement, and any phase -> Aborted. Signature shares are produced
+lazily: a validator signs when it acks, a proposer signs its own share
+only once a quorum of acks is in hand, and no agent ever signs two
+different settlement digests in one run.
 """
 
 from __future__ import annotations

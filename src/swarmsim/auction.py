@@ -97,9 +97,11 @@ def aggregate(
         if total >= AMOUNT_LIMIT:
             raise ArithmeticOverflow(f"aggregate for {sender.hex()} overflows 16 bytes")
         totals[sender] = total
-    # Both dicts gain a sender at the same step, so they list senders in one order.
+    # Both dicts gain a sender at the same step, so they list senders in one
+    # order. tuple.__new__ skips the NamedTuple's Python-level __new__.
+    new = tuple.__new__
     bids = [
-        AggregatedBid(sender, total, tx.block_height, tx.tx_id)
+        new(AggregatedBid, (sender, total, tx.block_height, tx.tx_id))
         for (sender, total), tx in zip(totals.items(), first.values())
     ]
     return bids, late

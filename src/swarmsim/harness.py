@@ -58,13 +58,15 @@ def oracle_settlement(sc: Scenario) -> tuple[SettlementTx, int]:
     rather than the engine's comparator sort. Only the SettlementTx wire
     type is shared with the engine.
     """
-    contribs = []
-    for seq, b in enumerate(sorted(sc.bidders, key=lambda entry: entry.height)):
-        tx_id = hashlib.sha256(
-            b.address + b.amount.to_bytes(16, "big") + b.height.to_bytes(8, "big")
-            + seq.to_bytes(8, "big")
-        ).digest()
-        contribs.append((b.address, b.amount, b.height, tx_id))
+    # height and sequence as one 16-byte int: the two 8-byte fields side by side
+    contribs = [
+        (address, amount, height, hashlib.sha256(
+            address + amount.to_bytes(16, "big") + (height << 64 | seq).to_bytes(16, "big")
+        ).digest())
+        for seq, (address, amount, height) in enumerate(
+            sorted(sc.bidders, key=lambda entry: entry.height)
+        )
+    ]
     return oracle_from_contributions(
         derive_auction_id(sc.seed), sc.n_items, sc.window, contribs
     )

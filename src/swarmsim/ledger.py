@@ -167,7 +167,8 @@ class Ledger:
             + struct.pack(">QQ", at_height, self._seq)
         ).digest()
         self._seq += 1
-        tx = Contribution(sender, amount, at_height, tx_id)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; same value
+        tx = tuple.__new__(Contribution, (sender, amount, at_height, tx_id))
         self._queues.setdefault(at_height, []).append(tx)
         return tx_id
 
@@ -176,10 +177,10 @@ class Ledger:
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
         self.next_height += 1
-        append = self.events.append
+        append, new = self.events.append, tuple.__new__
         for i, tx in enumerate(txs):
             self.balance += tx.amount
-            append(LedgerEvent(FUNDING_RECEIVED, height, i, tx))
+            append(new(LedgerEvent, (FUNDING_RECEIVED, height, i, tx)))
         self._emit(BLOCK_SEALED, height, len(txs), txs)
         return height
 

@@ -1,10 +1,10 @@
 """Deterministic discrete-event network and fault injection.
 
 A single heap of (time, seq) events drives everything: ledger ticks (one
-block height per tick, pre-scheduled so they sort ahead of same-time
-deliveries), peer message deliveries, and timer fires. Ledger events are
-pushed to every agent synchronously and in total order, so two honest
-agents always hold identical views.
+block height per tick, each scheduled by the one before it with sequence -1
+so it sorts ahead of same-time deliveries), peer message deliveries, and
+timer fires. Ledger events are pushed to every agent synchronously and in
+total order, so two honest agents always hold identical views.
 
 Faults are wrappers around the unmodified honest state machine: they crash
 it, mute it, feed it a perturbed ledger view, or tamper with its outgoing
@@ -243,17 +243,13 @@ def apply_fault(agent: Agent, fault: FaultSpec):
 # -- transcript line shapes -----------------------------------------------------
 
 
+# The funding line as canonical JSON, for (amount, height, index, sender hex,
+# tx id hex): its keys are in sorted order and no decimal or hex value escapes.
+_FUNDING_LINE = '{"amount":"%d","h":%d,"i":%d,"kind":"funding_received","sender":"%s","tx_id":"%s"}'
+
+
 def _ledger_line(ev: LedgerEvent) -> dict:
     kind, h, i, payload = ev
-    if kind == FUNDING_RECEIVED:
-        return {
-            "h": h,
-            "i": i,
-            "kind": "funding_received",
-            "sender": payload.sender.hex(),
-            "amount": str(payload.amount),
-            "tx_id": payload.tx_id.hex(),
-        }
     if kind == BLOCK_SEALED:
         return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
     if kind == SETTLEMENT_EXECUTED:
@@ -318,10 +314,11 @@ class Simulation:
         )
         self._heap: list = []
         self._count = itertools.count()
-        # Ticks pre-scheduled at init take the lowest sequence numbers, so a
-        # block at height t always seals before same-time message deliveries.
-        for t in range(last_height + 1):
-            self._push(t, ("tick", t))
+        self._last_height = last_height
+        # A tick holds sequence -1, below every other item's, so a block at
+        # height t always seals before same-time message deliveries. Each
+        # tick schedules the next, so the heap holds one tick at a time.
+        self._heap.append((0, -1, ("tick", 0)))
 
     def _push(self, at: int, item) -> None:
         heapq.heappush(self._heap, (at, next(self._count), item))
@@ -356,6 +353,8 @@ class Simulation:
     # -- dispatch helpers ----------------------------------------------------
 
     def _tick(self, height: int) -> None:
+        if height < self._last_height:
+            heapq.heappush(self._heap, (height + 1, -1, ("tick", height + 1)))
         for sender, amount in self.submissions.pop(height, ()):
             self.ledger.submit_funding(sender, amount, height)
         self.ledger.seal_block()
@@ -369,16 +368,20 @@ class Simulation:
         events = self.ledger.events
         if not events:  # the usual case: one pump follows every heap item
             return
-        add = self.transcript.add
+        add_line = self.transcript.add_line
         handlers = [a.on_ledger_event for a in self.agents]
         while events:
             ev = events.popleft()
-            if ev.kind == SETTLEMENT_EXECUTED:
-                self.transcript.add_line(canonical_json_sliced(_ledger_line(ev)))
+            kind, height, index, payload = ev
+            if kind == FUNDING_RECEIVED:
+                add_line(_FUNDING_LINE % (
+                    payload.amount, height, index, payload.sender.hex(), payload.tx_id.hex()
+                ))
+                self.inflow += payload.amount
+            elif kind == SETTLEMENT_EXECUTED:
+                add_line(canonical_json_sliced(_ledger_line(ev)))
             else:
-                add(_ledger_line(ev))
-                if ev.kind == FUNDING_RECEIVED:
-                    self.inflow += ev.payload.amount
+                self.transcript.add(_ledger_line(ev))
             for i, handle in enumerate(handlers):
                 actions = handle(ev, now)
                 if actions:

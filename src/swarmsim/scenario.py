@@ -18,6 +18,7 @@ import random
 import re
 import struct
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,7 +60,14 @@ def agent_signing_key(seed: int, index: int) -> bytes:
 
 
 def bidder_address(seed: int, index: int) -> bytes:
-    return hashlib.sha256(b"swarmsim/bidder/v1" + _u64(seed) + _u32(index)).digest()[:20]
+    return next(_bidder_addresses(seed, (index,)))
+
+
+def _bidder_addresses(seed: int, indices) -> Iterator[bytes]:
+    """The bidder address layout, in one place; the seed's prefix is built once."""
+    prefix = b"swarmsim/bidder/v1" + _u64(seed)
+    for index in indices:
+        yield hashlib.sha256(prefix + _u32(index)).digest()[:20]
 
 
 def derive_auction_id(seed: int) -> bytes:
@@ -384,8 +392,7 @@ def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]
     """One contribution per generated bidder; amount draw precedes height draw."""
     rng = _stream_rng(b"swarmsim/population/v1", seed)
     out = []
-    for i in range(count):
-        addr = bidder_address(seed, i)
+    for addr in _bidder_addresses(seed, range(count)):
         if sampler[0] == "uniform":
             amount = rng.randint(sampler[1], sampler[2])
         else:
@@ -395,7 +402,7 @@ def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]
             except OverflowError:  # the draw left float range, far above 2^100
                 amount = MAX_SINGLE_AMOUNT
         height = window.start_height + rng.randrange(spread)
-        out.append(BidderEntry(address=addr, amount=amount, height=height))
+        out.append(BidderEntry(addr, amount, height))
     return out
 
 

@@ -249,6 +249,33 @@ def test_unknown_sender_dropped():
     assert sends(reply) == []
 
 
+def test_validly_signed_message_from_an_agent_outside_the_roster_dropped():
+    # agent 2 is in range (2 < n) but left out of agent 0's roster by a bad
+    # attestation; its key still signs, so only the roster check stops it
+    agents, keys, _, _ = make_world()
+    triples = [a.attest() for a in agents]
+    triples[2] = AttestationTriple.quote(b"\xee" * 32, triples[2].verifying_key)
+    agents[0].observe_attestations(triples)
+    assert agents[0].roster == (0, 1)
+    msg = Nack(round_index=0, reason="not_ready")
+    reply = agents[0].on_peer_message(seal(keys[2], 2, msg), 6)
+    assert logs(reply, "unknown_sender")[0].detail["sender"] == 2
+    assert sends(reply) == []
+
+
+def test_message_from_sender_n_dropped_even_when_its_attestation_is_valid():
+    # n + 1 valid triples put index n in the roster; the policy has no key
+    # for it, so the range check must stop the message before the key lookup
+    agents, keys, policy, _ = make_world()
+    extra_key = agent_signing_key(42, 3)
+    triples = [a.attest() for a in agents] + [EnclaveMock(extra_key).attest()]
+    agents[0].observe_attestations(triples)
+    assert agents[0].roster == (0, 1, 2, 3) and policy.n == 3
+    msg = Nack(round_index=0, reason="not_ready")
+    reply = agents[0].on_peer_message(seal(extra_key, 3, msg), 6)
+    assert logs(reply, "unknown_sender")[0].detail["sender"] == 3
+
+
 def test_bad_transport_signature_dropped():
     agents, keys, _, _, _ = ready_world()
     msg = Nack(round_index=0, reason="not_ready")
@@ -306,6 +333,20 @@ def test_corrupted_ack_share_ignored():
     forged = dataclasses.replace(good, share=bad_share)
     reply = agents[0].on_peer_message(seal(keys[1], 1, forged), 7)
     assert logs(reply, "invalid_share_ignored")
+    assert agents[0].submitted is False
+
+
+def test_ack_share_for_agent_index_n_ignored():
+    # a share index equal to n has no key in the policy: the range check must
+    # refuse it before the signature is looked at
+    agents, keys, policy, _, actions = ready_world()
+    env = sends(actions[0])[0].envelope
+    good = sends(agents[1].on_peer_message(env, 6))[0].envelope.msg
+    forged = dataclasses.replace(
+        good, share=SignatureShare(agent_index=policy.n, sig=good.share.sig)
+    )
+    reply = agents[0].on_peer_message(seal(keys[1], 1, forged), 7)
+    assert logs(reply, "invalid_share_ignored")[0].detail["agent"] == policy.n
     assert agents[0].submitted is False
 
 

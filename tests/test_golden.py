@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from swarmsim import cli, netsim
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
+from swarmsim.ledger import FUNDING_RECEIVED, Ledger
 from swarmsim.scenario import build_scenario_dict, load_scenario
 from swarmsim.transcript import (
     SLICE_ITEMS,
@@ -182,29 +183,52 @@ def dumps(obj) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
-    # canonical_json reuses one encoder and the settlement line is written a
-    # slice at a time; every line a golden run writes must come out as
-    # json.dumps with the same arguments writes the whole object
-    added = []
-    add, sliced = Transcript.add, netsim.canonical_json_sliced
+    # canonical_json reuses one encoder, the settlement line is written a slice
+    # at a time and the funding line is filled into a template; every line a
+    # golden run writes must come out as json.dumps with the same arguments
+    # writes the whole object. A line that went through neither Transcript.add
+    # nor canonical_json_sliced is the next funding the ledger sealed, whose
+    # object is built here from the ledger event itself.
+    objs, pending, fundings = [], [], []
+    add, add_line, sliced, seal = (
+        Transcript.add, Transcript.add_line, netsim.canonical_json_sliced, Ledger.seal_block
+    )
 
     def recording_add(self, obj):
-        added.append(obj)
+        pending.append(obj)
         add(self, obj)
 
     def recording_sliced(obj):
         lazy = {key for key, value in obj.items() if isinstance(value, Iterator)}
         whole = {key: list(value) if key in lazy else value for key, value in obj.items()}
-        added.append(whole)
+        pending.append(whole)
         return sliced({key: iter(value) if key in lazy else value for key, value in whole.items()})
 
+    def recording_add_line(self, line):
+        if pending:
+            objs.append(pending.pop())
+        else:
+            _, h, i, tx = fundings.pop(0)
+            objs.append({"h": h, "i": i, "kind": "funding_received", "sender": tx.sender.hex(),
+                         "amount": str(tx.amount), "tx_id": tx.tx_id.hex()})
+        add_line(self, line)
+
+    def recording_seal(self):
+        before = len(self.events)
+        height = seal(self)
+        fundings.extend(ev for ev in list(self.events)[before:] if ev.kind == FUNDING_RECEIVED)
+        return height
+
     monkeypatch.setattr(Transcript, "add", recording_add)
+    monkeypatch.setattr(Transcript, "add_line", recording_add_line)
     monkeypatch.setattr(netsim, "canonical_json_sliced", recording_sliced)
+    monkeypatch.setattr(Ledger, "seal_block", recording_seal)
     tr, report = run_scenario_dict(GOLDEN[name][0]())
-    assert len(added) == len(tr.lines) > 0
-    settled = [obj for obj in added if obj.get("kind") == "settlement_executed"]
+    assert len(objs) == len(tr.lines) > 0
+    assert pending == fundings == []
+    settled = [obj for obj in objs if obj.get("kind") == "settlement_executed"]
     assert len(settled) == report.on_chain_tx_count
-    for obj, line in zip(added, tr.lines):
+    for obj, line in zip(objs, tr.lines):
         assert canonical_json(obj) == dumps(obj) == line
 
 

@@ -2,9 +2,13 @@
 
 import json
 import sys
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim import harness, wallet
-from swarmsim.ledger import Ledger
+from swarmsim.ledger import FUNDING_RECEIVED, Contribution, Ledger, LedgerEvent
 from swarmsim.netsim import NetConfig, Simulation
 from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
@@ -74,6 +78,49 @@ def test_empty_simulation_emits_only_seals():
     kinds = [json.loads(line).get("kind") for line in tr.lines]
     assert kinds == ["block_sealed"] * 4
     assert sim.max_time_exceeded is False
+
+
+def test_a_high_window_end_costs_no_memory_per_height():
+    # The next tick is scheduled by the one before it: a window that ends far
+    # past max_time stops at max_time with one tick in the heap, where one
+    # heap entry per height took about 36 MiB at this size.
+    data = scenario(seed=3, window=(1, 200_000), height_spread=5)
+    tracemalloc.start()
+    try:
+        tr, rep = run(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.outcome == "STUCK" and rep.max_time_exceeded is True
+    assert peak < 4 * 2**20
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.binary(min_size=20, max_size=20),
+    st.integers(min_value=1, max_value=2**128 - 1),
+    _U64,
+    _U64,
+    st.binary(min_size=32, max_size=32),
+)
+def test_the_funding_line_is_json_dumps_of_its_object(sender, amount, height, index, tx_id):
+    # the funding line is filled into a template, not encoded; over the whole
+    # range of every field it must still be what json.dumps writes
+    tr = Transcript({"schema_version": 1})
+    sim = Simulation(
+        ledger=Ledger(), agents=[], submissions={}, last_height=0,
+        net=NetConfig(), max_time=1, transcript=tr,
+    )
+    tx = Contribution(sender, amount, height, tx_id)
+    sim.ledger.events.append(LedgerEvent(FUNDING_RECEIVED, height, index, tx))
+    sim._pump_ledger(0)
+    obj = {"h": height, "i": index, "kind": "funding_received", "sender": sender.hex(),
+           "amount": str(amount), "tx_id": tx_id.hex()}
+    assert tr.lines == [json.dumps(obj, sort_keys=True, separators=(",", ":"))]
+    assert sim.inflow == amount
 
 
 def test_crashed_round_zero_proposer_rotates():
