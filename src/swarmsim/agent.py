@@ -176,7 +176,6 @@ class Agent:
         self.tx: SettlementTx | None = None
         self.digest: bytes | None = None
         self._encoding: bytes | None = None  # of self.tx, kept from the first refresh on
-        self._cleared_len: int | None = None  # len(self.view) at the last _recompute
         self.round = 0
         self.roster: tuple[int, ...] = ()
         self.signed_digest: bytes | None = None
@@ -230,9 +229,7 @@ class Agent:
             return self._on_funding(ev.payload)
         if ev.kind == BLOCK_SEALED:
             return self._on_seal(ev.height)
-        if ev.kind == SETTLEMENT_EXECUTED:
-            return self._on_settlement(ev.payload)
-        return []
+        return self._on_settlement(ev.payload)  # SETTLEMENT_EXECUTED, the third kind
 
     def on_peer_message(self, env: Envelope, now: int) -> list[AgentAction]:
         if self.phase in (PHASE_DONE, PHASE_ABORTED):
@@ -327,7 +324,7 @@ class Agent:
     def _handle_propose(self, sender: int, p: Propose) -> list[AgentAction]:
         if proposer_for(p.round_index, self.policy.n) != sender:
             return [self._log("wrong_proposer", sender=sender, round=p.round_index)]
-        if self.phase == PHASE_MONITORING or self.digest is None:
+        if self.phase == PHASE_MONITORING:
             return self._nack(sender, p.round_index, NACK_NOT_READY)
         if p.root != self.root:
             actions = self._nack(
@@ -412,22 +409,17 @@ class Agent:
         self.clearing_price, self.bid_count = result.clearing_price, len(ordered)
         self.digest = wallet.settlement_digest(self.tx)
         self._encoding = None
-        self._cleared_len = len(self.view)
 
     def _recheck(self) -> list[AgentAction]:
-        """Conflict path: re-derive everything from the accumulated ledger view.
-
-        _recompute is a pure function of the view, which only grows, so an
-        unchanged view keeps the state the last _recompute left."""
+        """Conflict path: nothing to re-clear. Past the window-end seal the view
+        grows only by late fundings, which `_on_funding` has already spliced in."""
         if self.phase != PHASE_CROSS_VALIDATING:
             return []
-        actions = [self._goto(PHASE_COMPUTING)]
-        before = self.root
-        if len(self.view) != self._cleared_len:
-            self._recompute()
-        actions.append(self._goto(PHASE_CROSS_VALIDATING))
-        actions.append(self._log("recheck", changed=self.root != before))
-        return actions
+        return [
+            self._goto(PHASE_COMPUTING),
+            self._goto(PHASE_CROSS_VALIDATING),
+            self._log("recheck", changed=False),
+        ]
 
     def _sign_current(self) -> SignatureShare:
         if self.signed_digest is not None:

@@ -38,13 +38,12 @@ from .consensus import Envelope, Propose
 from .ledger import (
     BLOCK_SEALED,
     FUNDING_RECEIVED,
-    SETTLEMENT_EXECUTED,
     AlreadySettled,
     BadSignatureBundle,
     Ledger,
     LedgerEvent,
 )
-from .transcript import Transcript, canonical_json_sliced
+from .transcript import Transcript
 
 FAULT_CRASH = "crash"
 FAULT_SILENT = "silent"
@@ -243,35 +242,46 @@ def apply_fault(agent: Agent, fault: FaultSpec):
 # -- transcript line shapes -----------------------------------------------------
 
 
-# The funding line as canonical JSON, for (amount, height, index, sender hex,
-# tx id hex): its keys are in sorted order and no decimal or hex value escapes.
+# The funding and block lines as canonical JSON: their keys are in sorted
+# order and no decimal or hex value escapes.
 _FUNDING_LINE = '{"amount":"%d","h":%d,"i":%d,"kind":"funding_received","sender":"%s","tx_id":"%s"}'
+_BLOCK_LINE = '{"h":%d,"i":%d,"kind":"block_sealed","tx_count":%d}'
+
+# Array items per piece of the settlement line.
+_SLICE = 1024
 
 
-def _ledger_line(ev: LedgerEvent) -> dict:
-    kind, h, i, payload = ev
-    if kind == BLOCK_SEALED:
-        return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
-    if kind == SETTLEMENT_EXECUTED:
-        # The three lists as generators, for `canonical_json_sliced`: one
-        # slice of hex strings and pairs is alive at a time, never the whole
-        # batch. Pairs are tuples, which it writes as arrays.
-        r = payload
-        return {
-            "h": h,
-            "i": i,
-            "kind": "settlement_executed",
-            "auction_id": r.tx.auction_id.hex(),
-            "digest": r.digest.hex(),
-            "mints": ((addr.hex(), 1) for addr in r.tx.mints),
-            "partial_refunds": ((addr.hex(), str(amt)) for addr, amt in r.tx.partial_refunds),
-            "full_refunds": ((addr.hex(), str(amt)) for addr, amt in r.tx.full_refunds),
-            "mint_count": len(r.tx.mints),
-            "partial_refund_total": str(r.partial_refund_total),
-            "full_refund_total": str(r.full_refund_total),
-            "retained": str(r.retained_balance),
-        }
-    raise ValueError(f"unknown ledger event kind {kind!r}")
+def _mint_items(mints) -> str:
+    return ",".join(['["%s",1]' % addr.hex() for addr in mints])
+
+
+def _refund_items(refunds) -> str:
+    return ",".join(['["%s","%d"]' % (addr.hex(), amt) for addr, amt in refunds])
+
+
+def _settlement_line(h: int, i: int, r) -> str:
+    """The settlement line as canonical JSON: sorted keys, hex and decimal
+    values. Each array is filled `_SLICE` items at a time, so one slice of hex
+    strings is alive at a time, never the whole batch; the pieces are joined
+    once, at the end: joining each array first would copy it once more."""
+    tx = r.tx
+    parts = ['{"auction_id":"%s","digest":"%s","full_refund_total":"%d","full_refunds":[' % (
+        tx.auction_id.hex(), r.digest.hex(), r.full_refund_total
+    )]
+    for rows, items, tail in (
+        (tx.full_refunds, _refund_items,
+         '],"h":%d,"i":%d,"kind":"settlement_executed","mint_count":%d,"mints":['
+         % (h, i, len(tx.mints))),
+        (tx.mints, _mint_items,
+         '],"partial_refund_total":"%d","partial_refunds":[' % r.partial_refund_total),
+        (tx.partial_refunds, _refund_items, '],"retained":"%d"}' % r.retained_balance),
+    ):
+        for n in range(0, len(rows), _SLICE):
+            if n:
+                parts.append(",")
+            parts.append(items(rows[n:n + _SLICE]))
+        parts.append(tail)
+    return "".join(parts)
 
 
 # -- the driver -------------------------------------------------------------------
@@ -378,10 +388,10 @@ class Simulation:
                     payload.amount, height, index, payload.sender.hex(), payload.tx_id.hex()
                 ))
                 self.inflow += payload.amount
-            elif kind == SETTLEMENT_EXECUTED:
-                add_line(canonical_json_sliced(_ledger_line(ev)))
+            elif kind == BLOCK_SEALED:
+                add_line(_BLOCK_LINE % (height, index, len(payload)))
             else:
-                self.transcript.add(_ledger_line(ev))
+                add_line(_settlement_line(height, index, payload))
             for i, handle in enumerate(handlers):
                 actions = handle(ev, now)
                 if actions:
@@ -406,10 +416,8 @@ class Simulation:
                 self._push(at, ("timer", agent_index))
             elif isinstance(act, SendPeer):
                 self._send(agent_index, act.to, act.envelope, now)
-            elif isinstance(act, SubmitSettlement):
+            else:  # SubmitSettlement, the last of the agent's four action types
                 self._submit(agent_index, act, now)
-            else:
-                raise TypeError(f"unknown action {type(act).__name__}")
 
     def _send(self, frm: int, to: int, env: Envelope, now: int) -> None:
         body = consensus.body_dict(env.msg)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from collections.abc import Callable, Iterator
-from itertools import islice
+from collections.abc import Callable
 
 SCHEMA_VERSION = 1
 
@@ -35,39 +34,8 @@ _ENCODE = json.encoder.c_make_encoder(
 )
 
 
-# Array items per `canonical_json` call in `canonical_json_sliced`.
-SLICE_ITEMS = 1024
-
-
 def canonical_json(obj) -> str:
     return "".join(_ENCODE(obj, 0))
-
-
-def canonical_json_sliced(obj: dict) -> str:
-    """`canonical_json` of a dict with str keys whose iterator values are
-    written as JSON arrays, `SLICE_ITEMS` items per encoder call, so only one
-    slice of items is alive at a time. The pieces are joined once, at the end:
-    joining each array first would copy it once more."""
-    parts = ["{"]
-    for key in sorted(obj):
-        if len(parts) > 1:
-            parts.append(",")
-        parts.append(canonical_json(key))
-        parts.append(":")
-        value = obj[key]
-        if not isinstance(value, Iterator):
-            parts.append(canonical_json(value))
-            continue
-        parts.append("[")
-        first = True
-        while chunk := list(islice(value, SLICE_ITEMS)):
-            if not first:
-                parts.append(",")
-            parts.append(canonical_json(chunk)[1:-1])
-            first = False
-        parts.append("]")
-    parts.append("}")
-    return "".join(parts)
 
 
 class Transcript:

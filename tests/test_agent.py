@@ -493,8 +493,8 @@ def cleared_state(agent):
 def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     view, late, n_items, recheck_after
 ):
-    # a conflict re-check between late fundings re-clears the view in the
-    # middle; the refreshes after it must start from what it built
+    # a conflict re-check between late fundings keeps the spliced state; the
+    # refreshes after it go on from it and must end where a fresh clear does
     agents, _, _, _ = make_world(n_items=n_items)
     exchange_attestations(agents)
     agent = agents[1]
@@ -558,7 +558,9 @@ def test_conflicts_clear_the_auction_once_per_agent(monkeypatch):
     assert len(calls) == 7
 
 
-def test_recheck_after_a_late_funding_clears_again(monkeypatch):
+def test_recheck_after_a_late_funding_keeps_the_spliced_state(monkeypatch):
+    # a re-check never re-clears: a late funding is already spliced in, and
+    # the spliced state is what a fresh clear of the view gives
     agents, _, _, _, _ = ready_world()
     agent = agents[1]
     calls = counting_aggregate(monkeypatch)
@@ -570,10 +572,10 @@ def test_recheck_after_a_late_funding_clears_again(monkeypatch):
     )
     refreshed = cleared_state(agent)
     (recheck,) = logs(agent._recheck(), "recheck")
-    assert len(calls) == 1 and recheck.detail["changed"] is False
+    assert calls == [] and recheck.detail["changed"] is False
     assert cleared_state(agent) == refreshed
-    logs(agent._recheck(), "recheck")
-    assert len(calls) == 1
+    agent._recompute()
+    assert cleared_state(agent) == refreshed
 
 
 def test_enclave_holds_a_key_object_not_the_key_bytes():

@@ -11,23 +11,15 @@ change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 
 import gc
 import json
-from collections.abc import Iterator
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from swarmsim import cli, netsim
+from swarmsim import cli
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
-from swarmsim.ledger import FUNDING_RECEIVED, Ledger
+from swarmsim.ledger import BLOCK_SEALED, FUNDING_RECEIVED, Ledger
 from swarmsim.scenario import build_scenario_dict, load_scenario
-from swarmsim.transcript import (
-    SLICE_ITEMS,
-    Transcript,
-    canonical_json,
-    canonical_json_sliced,
-    hash_body_lines,
-)
+from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 
 
 def _partition_with_drops() -> dict:
@@ -181,90 +173,70 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def ledger_object(ev) -> dict:
+    """The object a ledger event's transcript line is the canonical JSON of."""
+    kind, h, i, payload = ev
+    if kind == FUNDING_RECEIVED:
+        return {"h": h, "i": i, "kind": "funding_received", "sender": payload.sender.hex(),
+                "amount": str(payload.amount), "tx_id": payload.tx_id.hex()}
+    if kind == BLOCK_SEALED:
+        return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
+    tx = payload.tx
+    return {
+        "h": h,
+        "i": i,
+        "kind": "settlement_executed",
+        "auction_id": tx.auction_id.hex(),
+        "digest": payload.digest.hex(),
+        "mints": [[addr.hex(), 1] for addr in tx.mints],
+        "partial_refunds": [[addr.hex(), str(amt)] for addr, amt in tx.partial_refunds],
+        "full_refunds": [[addr.hex(), str(amt)] for addr, amt in tx.full_refunds],
+        "mint_count": len(tx.mints),
+        "partial_refund_total": str(payload.partial_refund_total),
+        "full_refund_total": str(payload.full_refund_total),
+        "retained": str(payload.retained_balance),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
-    # canonical_json reuses one encoder, the settlement line is written a slice
-    # at a time and the funding line is filled into a template; every line a
-    # golden run writes must come out as json.dumps with the same arguments
-    # writes the whole object. A line that went through neither Transcript.add
-    # nor canonical_json_sliced is the next funding the ledger sealed, whose
-    # object is built here from the ledger event itself.
-    objs, pending, fundings = [], [], []
-    add, add_line, sliced, seal = (
-        Transcript.add, Transcript.add_line, netsim.canonical_json_sliced, Ledger.seal_block
-    )
+    # canonical_json reuses one encoder and every ledger line is filled into a
+    # template; every line a golden run writes must come out as json.dumps with
+    # the same arguments writes the whole object. A line that did not go
+    # through Transcript.add is the next event the ledger logged, whose object
+    # is built here from the event itself.
+    objs, pending, logged = [], [], []
+    add, add_line, init = Transcript.add, Transcript.add_line, Ledger.__init__
+
+    class RecordingLog(deque):
+        def append(self, ev):
+            logged.append(ev)
+            super().append(ev)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.events = RecordingLog()
 
     def recording_add(self, obj):
         pending.append(obj)
         add(self, obj)
 
-    def recording_sliced(obj):
-        lazy = {key for key, value in obj.items() if isinstance(value, Iterator)}
-        whole = {key: list(value) if key in lazy else value for key, value in obj.items()}
-        pending.append(whole)
-        return sliced({key: iter(value) if key in lazy else value for key, value in whole.items()})
-
     def recording_add_line(self, line):
-        if pending:
-            objs.append(pending.pop())
-        else:
-            _, h, i, tx = fundings.pop(0)
-            objs.append({"h": h, "i": i, "kind": "funding_received", "sender": tx.sender.hex(),
-                         "amount": str(tx.amount), "tx_id": tx.tx_id.hex()})
+        objs.append(pending.pop() if pending else ledger_object(logged.pop(0)))
         add_line(self, line)
 
-    def recording_seal(self):
-        before = len(self.events)
-        height = seal(self)
-        fundings.extend(ev for ev in list(self.events)[before:] if ev.kind == FUNDING_RECEIVED)
-        return height
-
+    monkeypatch.setattr(Ledger, "__init__", recording_init)
     monkeypatch.setattr(Transcript, "add", recording_add)
     monkeypatch.setattr(Transcript, "add_line", recording_add_line)
-    monkeypatch.setattr(netsim, "canonical_json_sliced", recording_sliced)
-    monkeypatch.setattr(Ledger, "seal_block", recording_seal)
     tr, report = run_scenario_dict(GOLDEN[name][0]())
     assert len(objs) == len(tr.lines) > 0
-    assert pending == fundings == []
+    assert pending == logged == []
+    kinds = {obj.get("kind") for obj in objs}
+    assert {"funding_received", "block_sealed"} <= kinds
     settled = [obj for obj in objs if obj.get("kind") == "settlement_executed"]
     assert len(settled) == report.on_chain_tx_count
     for obj, line in zip(objs, tr.lines):
         assert canonical_json(obj) == dumps(obj) == line
-
-
-_ITEMS = st.one_of(
-    st.integers(min_value=-(2**128), max_value=2**128),
-    st.text(max_size=8),
-    st.tuples(st.text(max_size=8), st.integers(min_value=0, max_value=2**128)),
-    st.tuples(st.text(max_size=8), st.text(max_size=8)),
-)
-_COUNTS = (0, 1, SLICE_ITEMS - 1, SLICE_ITEMS, SLICE_ITEMS + 1, 2 * SLICE_ITEMS + 1)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    st.dictionaries(
-        st.text(max_size=6),
-        st.one_of(
-            st.tuples(st.sampled_from(_COUNTS), st.lists(_ITEMS, min_size=1, max_size=5)),
-            _ITEMS,
-        ),
-        max_size=5,
-    )
-)
-def test_canonical_json_sliced_equals_json_dumps(spec):
-    # array lengths on each side of the slice boundaries, the settlement
-    # line's 2-tuples, ints up to 2^128 and non-ASCII keys; each array's
-    # items cycle through a few drawn ones
-    whole, lazy = {}, {}
-    for key, value in spec.items():
-        if isinstance(value, tuple) and isinstance(value[1], list):
-            count, pattern = value
-            whole[key] = [pattern[n % len(pattern)] for n in range(count)]
-            lazy[key] = iter(whole[key])
-        else:
-            whole[key] = lazy[key] = value
-    assert canonical_json_sliced(lazy) == dumps(whole)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +249,7 @@ def test_canonical_json_sliced_equals_json_dumps(spec):
         "bare string",
         2**128,
         None,
-        {"mints": [("aa", 1), ("bb", 1)], "pairs": ((("x", "1"),),)},  # `_ledger_line`'s pairs
+        {"mints": [("aa", 1), ("bb", 1)], "pairs": ((("x", "1"),),)},  # tuples write as arrays
         {10: "int keys sort as ints", 2: "then print as strings"},
         {"raw": b"\x00"},  # refused with json.dumps's TypeError
     ],

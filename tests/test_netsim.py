@@ -4,11 +4,20 @@ import json
 import sys
 import tracemalloc
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmsim import harness, wallet
-from swarmsim.ledger import FUNDING_RECEIVED, Contribution, Ledger, LedgerEvent
+from swarmsim import auction, harness, wallet
+from swarmsim.ledger import (
+    BLOCK_SEALED,
+    FUNDING_RECEIVED,
+    SETTLEMENT_EXECUTED,
+    Contribution,
+    Ledger,
+    LedgerEvent,
+    SettlementReceipt,
+)
 from swarmsim.netsim import NetConfig, Simulation
 from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
@@ -121,6 +130,78 @@ def test_the_funding_line_is_json_dumps_of_its_object(sender, amount, height, in
            "amount": str(amount), "tx_id": tx_id.hex()}
     assert tr.lines == [json.dumps(obj, sort_keys=True, separators=(",", ":"))]
     assert sim.inflow == amount
+
+
+_U128 = st.integers(min_value=0, max_value=2**128 - 1)
+_ADDRESS = st.binary(min_size=20, max_size=20)
+_REFUND = st.tuples(_ADDRESS, _U128)
+# array lengths on each side of the line's 1,024-item slices
+_COUNTS = (0, 1, 1023, 1024, 1025, 2049)
+_TOP_REFUND = (b"\xff" * 20, 2**128 - 1)
+
+
+def _cycled(count, pattern):
+    return tuple(pattern[n % len(pattern)] for n in range(count))
+
+
+@pytest.mark.parametrize("k", range(len(_COUNTS)))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    _U64, _U64, _U64, _U64,
+    st.lists(_ADDRESS, min_size=1, max_size=3),
+    st.lists(_REFUND, min_size=1, max_size=3),
+    st.lists(_REFUND, min_size=1, max_size=3),
+    st.tuples(_U128, _U128, _U128),
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=32, max_size=32),
+)
+@example(  # every height, index and amount at its top
+    *[2**64 - 1] * 4, [b"\xff" * 20], [_TOP_REFUND], [_TOP_REFUND], (2**128 - 1,) * 3,
+    b"\xff" * 32, b"\xff" * 32,
+)
+def test_the_block_and_settlement_lines_are_json_dumps_of_their_objects(
+    k, block_h, block_i, h, i, mints, partial, full, totals, auction_id, digest
+):
+    # both lines are filled into templates, the settlement line's arrays a
+    # slice at a time; over the whole range of every field, and with every
+    # array on each side of a slice boundary, they must still be what
+    # json.dumps writes of the whole object
+    tx_count = _COUNTS[k]
+    mints, partial, full = (
+        _cycled(_COUNTS[(k + shift) % len(_COUNTS)], pattern)
+        for shift, pattern in enumerate((mints, partial, full))
+    )
+    tx = auction.SettlementTx(auction_id, mints, partial, full)
+    receipt = SettlementReceipt(digest, *totals, tx)
+    tr = Transcript({"schema_version": 1})
+    sim = Simulation(
+        ledger=Ledger(), agents=[], submissions={}, last_height=0,
+        net=NetConfig(), max_time=1, transcript=tr,
+    )
+    sim.ledger.events.append(LedgerEvent(BLOCK_SEALED, block_h, block_i, (None,) * tx_count))
+    sim.ledger.events.append(LedgerEvent(SETTLEMENT_EXECUTED, h, i, receipt))
+    sim._pump_ledger(0)
+    block = {"h": block_h, "i": block_i, "kind": "block_sealed", "tx_count": tx_count}
+    settlement = {
+        "h": h,
+        "i": i,
+        "kind": "settlement_executed",
+        "auction_id": auction_id.hex(),
+        "digest": digest.hex(),
+        "mints": [(addr.hex(), 1) for addr in mints],
+        "partial_refunds": [(addr.hex(), str(amt)) for addr, amt in partial],
+        "full_refunds": [(addr.hex(), str(amt)) for addr, amt in full],
+        "mint_count": len(mints),
+        "partial_refund_total": str(totals[0]),
+        "full_refund_total": str(totals[1]),
+        "retained": str(totals[2]),
+    }
+    block_line, settlement_line = (
+        json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in (block, settlement)
+    )
+    assert len(tr.lines) == 2
+    assert tr.lines[0] == block_line
+    assert tr.lines[1] == settlement_line
 
 
 def test_crashed_round_zero_proposer_rotates():
