@@ -75,14 +75,18 @@ class AttestationTriple:
     @classmethod
     def quote(cls, measurement: bytes, verifying_key: bytes) -> AttestationTriple:
         """The triple whose quote binds `measurement` to `verifying_key`."""
-        quote = hashlib.sha256(measurement + verifying_key).digest()
-        return cls(measurement, verifying_key, quote)
+        return cls(measurement, verifying_key, _quote(measurement, verifying_key))
+
+
+def _quote(measurement: bytes, verifying_key: bytes) -> bytes:
+    return hashlib.sha256(measurement + verifying_key).digest()
 
 
 def verify_attestation(triple: AttestationTriple, expected_measurement: bytes) -> bool:
-    """Accept iff the quote binds (measurement, key) and the code is the expected one."""
-    recomputed = AttestationTriple.quote(triple.measurement, triple.verifying_key)
-    return recomputed == triple and triple.measurement == expected_measurement
+    """Accept iff the code is the expected one and the quote binds (measurement, key)."""
+    return triple.measurement == expected_measurement and triple.attestation == _quote(
+        triple.measurement, triple.verifying_key
+    )
 
 
 class EnclaveMock:
@@ -193,12 +197,9 @@ class Agent:
 
     def observe_attestations(self, triples: list[AttestationTriple]) -> list[AgentAction]:
         """Derive the quorum roster from the published attestation triples."""
-        included = [
-            i
-            for i, t in enumerate(triples)
-            if verify_attestation(t, self.expected_measurement)
-        ]
-        excluded = [i for i in range(len(triples)) if i not in included]
+        included, excluded = [], []
+        for i, t in enumerate(triples):
+            (included if verify_attestation(t, self.expected_measurement) else excluded).append(i)
         self.roster = tuple(included)
         actions: list[AgentAction] = [
             self._log("roster", included=included, excluded=excluded)

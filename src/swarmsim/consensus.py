@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass
 
 from . import wallet
-from .transcript import canonical_json
 from .wallet import SignatureShare
 
 TRANSPORT_DOMAIN = b"swarmsim/peer-msg/v1"
@@ -78,33 +77,38 @@ class AbortMsg:
 PeerMessage = Propose | Ack | Nack | AbortMsg
 
 
-def body_dict(msg: PeerMessage) -> dict:
-    """JSON form of a message body; amounts decimal strings, bytes lowercase hex."""
+# The message type each body's "type" key names; the network lines name it too.
+MESSAGE_TYPES = {Propose: "propose", Ack: "ack", Nack: "nack", AbortMsg: "abort"}
+
+# The bodies as canonical JSON: keys in sorted order, and every value filled
+# in is an int, a decimal string, lowercase hex or a nack reason, none of
+# which JSON escapes.
+_PROPOSE = '{"clearing_price":"%d","root":"%s","round":%d,"settlement_digest":"%s","type":"propose"}'
+_ACK = '{"round":%d,"settlement_digest":"%s","share":{"agent":%d,"sig":"%s"},"type":"ack"}'
+_NACK = '{"reason":"%s","round":%d,"type":"nack"}'
+_ABORT = '{"round":%d,"type":"abort"}'
+
+
+def body_json(msg: PeerMessage) -> str:
+    """The message body as canonical JSON; amounts decimal strings, bytes lowercase hex."""
     if isinstance(msg, Propose):
-        return {
-            "type": "propose",
-            "round": msg.round_index,
-            "root": msg.root.hex(),
-            "clearing_price": str(msg.clearing_price),
-            "settlement_digest": msg.settlement_digest.hex(),
-        }
+        return _PROPOSE % (
+            msg.clearing_price, msg.root.hex(), msg.round_index, msg.settlement_digest.hex()
+        )
     if isinstance(msg, Ack):
-        return {
-            "type": "ack",
-            "round": msg.round_index,
-            "settlement_digest": msg.settlement_digest.hex(),
-            "share": {"agent": msg.share.agent_index, "sig": msg.share.sig.hex()},
-        }
+        share = msg.share
+        return _ACK % (
+            msg.round_index, msg.settlement_digest.hex(), share.agent_index, share.sig.hex()
+        )
     if isinstance(msg, Nack):
-        return {"type": "nack", "round": msg.round_index, "reason": msg.reason}
+        return _NACK % (msg.reason, msg.round_index)
     if isinstance(msg, AbortMsg):
-        return {"type": "abort", "round": msg.round_index}
+        return _ABORT % msg.round_index
     raise TypeError(f"not a peer message: {type(msg).__name__}")
 
 
 def transport_digest(msg: PeerMessage) -> bytes:
-    body = canonical_json(body_dict(msg)).encode("utf-8")
-    return hashlib.sha256(TRANSPORT_DOMAIN + body).digest()
+    return hashlib.sha256(TRANSPORT_DOMAIN + body_json(msg).encode()).digest()
 
 
 @dataclass(frozen=True)

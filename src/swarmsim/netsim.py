@@ -24,7 +24,6 @@ import random
 import struct
 from dataclasses import dataclass
 
-from . import consensus
 from .agent import (
     Agent,
     AgentAction,
@@ -34,7 +33,7 @@ from .agent import (
     SetTimer,
     SubmitSettlement,
 )
-from .consensus import Envelope, Propose
+from .consensus import MESSAGE_TYPES, Envelope, Propose, body_json
 from .ledger import (
     BLOCK_SEALED,
     FUNDING_RECEIVED,
@@ -43,7 +42,7 @@ from .ledger import (
     Ledger,
     LedgerEvent,
 )
-from .transcript import Transcript
+from .transcript import Transcript, canonical_json
 
 FAULT_CRASH = "crash"
 FAULT_SILENT = "silent"
@@ -242,10 +241,19 @@ def apply_fault(agent: Agent, fault: FaultSpec):
 # -- transcript line shapes -----------------------------------------------------
 
 
-# The funding and block lines as canonical JSON: their keys are in sorted
-# order and no decimal or hex value escapes.
+# The funding, block and network lines as canonical JSON: their keys are in
+# sorted order and every value filled in is an int, a decimal string,
+# lowercase hex, a message body from `body_json` or a constant
+# identifier (a message type, a drop cause, a phase or an event name), none
+# of which JSON escapes. A log line's detail is encoded.
 _FUNDING_LINE = '{"amount":"%d","h":%d,"i":%d,"kind":"funding_received","sender":"%s","tx_id":"%s"}'
 _BLOCK_LINE = '{"h":%d,"i":%d,"kind":"block_sealed","tx_count":%d}'
+_SEND_LINE = '{"event":"peer_send","from":%d,"msg":%s,"sig":"%s","t":%d,"to":%d}'
+_DELIVER_LINE = '{"event":"peer_deliver","from":%d,"t":%d,"to":%d,"type":"%s"}'
+_DROP_LINE = '{"cause":"%s","event":"peer_drop","from":%d,"t":%d,"to":%d,"type":"%s"}'
+_TIMER_SET_LINE = '{"agent":%d,"at":%d,"event":"timer_set","t":%d}'
+_TIMER_FIRE_LINE = '{"agent":%d,"event":"timer_fire","t":%d}'
+_LOG_LINE = '{"agent":%d,"detail":%s,"event":"%s","phase":"%s"}'
 
 # Array items per piece of the settlement line.
 _SLICE = 1024
@@ -338,6 +346,7 @@ class Simulation:
         for i, a in enumerate(self.agents):
             self._exec(i, a.observe_attestations(triples), 0)
         self._pump_ledger(0)
+        add_line = self.transcript.add_line
         while self._heap:
             t, _, item = heapq.heappop(self._heap)
             if t > self.max_time:
@@ -349,14 +358,12 @@ class Simulation:
                 self._tick(item[1])
             elif kind == "deliver":
                 _, frm, to, env, msg_type = item
-                self.transcript.add(
-                    {"t": t, "event": "peer_deliver", "from": frm, "to": to, "type": msg_type}
-                )
+                add_line(_DELIVER_LINE % (frm, t, to, msg_type))
                 self.counts["delivered"] += 1
                 self._exec(to, self.agents[to].on_peer_message(env, t), t)
             elif kind == "timer":
                 i = item[1]
-                self.transcript.add({"t": t, "event": "timer_fire", "agent": i})
+                add_line(_TIMER_FIRE_LINE % (i, t))
                 self._exec(i, self.agents[i].on_timer(t), t)
             self._pump_ledger(t)
 
@@ -398,21 +405,15 @@ class Simulation:
                     self._exec(i, actions, now)
 
     def _exec(self, agent_index: int, actions: list[AgentAction], now: int) -> None:
+        add_line = self.transcript.add_line
         for act in actions:
             if isinstance(act, Log):
-                self.transcript.add(
-                    {
-                        "agent": agent_index,
-                        "phase": act.phase,
-                        "event": act.event,
-                        "detail": act.detail,
-                    }
-                )
+                add_line(_LOG_LINE % (
+                    agent_index, canonical_json(act.detail), act.event, act.phase
+                ))
             elif isinstance(act, SetTimer):
                 at = now + act.duration
-                self.transcript.add(
-                    {"t": now, "event": "timer_set", "agent": agent_index, "at": at}
-                )
+                add_line(_TIMER_SET_LINE % (agent_index, at, now))
                 self._push(at, ("timer", agent_index))
             elif isinstance(act, SendPeer):
                 self._send(agent_index, act.to, act.envelope, now)
@@ -420,18 +421,12 @@ class Simulation:
                 self._submit(agent_index, act, now)
 
     def _send(self, frm: int, to: int, env: Envelope, now: int) -> None:
-        body = consensus.body_dict(env.msg)
-        self.transcript.add(
-            {
-                "t": now,
-                "event": "peer_send",
-                "from": frm,
-                "to": to,
-                "msg": body,
-                "sig": env.transport_sig.hex(),
-            }
-        )
-        self.counts[body["type"]] += 1
+        msg = env.msg
+        msg_type = MESSAGE_TYPES[type(msg)]
+        self.transcript.add_line(_SEND_LINE % (
+            frm, body_json(msg), env.transport_sig.hex(), now, to
+        ))
+        self.counts[msg_type] += 1
         # the random drop is drawn only for links no partition cuts
         if any(p.separates(frm, to, now) for p in self.net.partitions):
             cause = "partition"
@@ -439,18 +434,9 @@ class Simulation:
             cause = "random"
         else:
             delay = self._rng.randint(self.net.delay_min, self.net.delay_max)
-            self._push(now + delay, ("deliver", frm, to, env, body["type"]))
+            self._push(now + delay, ("deliver", frm, to, env, msg_type))
             return
-        self.transcript.add(
-            {
-                "t": now,
-                "event": "peer_drop",
-                "from": frm,
-                "to": to,
-                "type": body["type"],
-                "cause": cause,
-            }
-        )
+        self.transcript.add_line(_DROP_LINE % (cause, frm, now, to, msg_type))
         self.counts["dropped"] += 1
 
     def _submit(self, agent_index: int, act: SubmitSettlement, now: int) -> None:

@@ -5,8 +5,9 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swarmsim import consensus
 from swarmsim.consensus import (
     NACK_REASONS,
     TRANSPORT_DOMAIN,
@@ -16,14 +17,13 @@ from swarmsim.consensus import (
     Nack,
     Propose,
     RoundConfig,
-    body_dict,
+    body_json,
     open_envelope,
     proposer_for,
     transport_digest,
 )
 from swarmsim.scenario import agent_signing_key
-from swarmsim.transcript import canonical_json
-from swarmsim.wallet import MultisigPolicy, SignatureShare, sign, verifying_key_for
+from swarmsim.wallet import SIG_LEN, MultisigPolicy, SignatureShare, sign, verifying_key_for
 
 KEY = agent_signing_key(5, 0)
 VK = verifying_key_for(KEY)
@@ -44,6 +44,34 @@ def policy_with(vk, at):
 ROOT = b"\x11" * 32
 DIGEST = b"\x22" * 32
 SHARE = SignatureShare(agent_index=1, sig=sign(KEY, DIGEST))
+
+
+def body_object(msg) -> dict:
+    """The object a message body is the canonical JSON of: the dict form
+    `body_json`'s templates replaced, kept as their reference."""
+    if isinstance(msg, Propose):
+        return {
+            "type": "propose",
+            "round": msg.round_index,
+            "root": msg.root.hex(),
+            "clearing_price": str(msg.clearing_price),
+            "settlement_digest": msg.settlement_digest.hex(),
+        }
+    if isinstance(msg, Ack):
+        return {
+            "type": "ack",
+            "round": msg.round_index,
+            "settlement_digest": msg.settlement_digest.hex(),
+            "share": {"agent": msg.share.agent_index, "sig": msg.share.sig.hex()},
+        }
+    if isinstance(msg, Nack):
+        return {"type": "nack", "round": msg.round_index, "reason": msg.reason}
+    return {"type": "abort", "round": msg.round_index}
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
 
 MESSAGES = [
     Propose(round_index=0, root=ROOT, clearing_price=740, settlement_digest=DIGEST),
@@ -94,13 +122,13 @@ OTHER_VALUES = {
 
 @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)
 def test_body_round_trip(msg):
-    """The body survives its JSON encoding, and changing any field of the
+    """The body is the JSON of its object, and changing any field of the
     message changes the body, so the transport signature covers every field."""
-    body = body_dict(msg)
-    assert json.loads(canonical_json(body)) == body
+    body = body_json(msg)
+    assert json.loads(body) == body_object(msg)
     for field in dataclasses.fields(msg):
         other = dataclasses.replace(msg, **{field.name: OTHER_VALUES[field.name]})
-        assert body_dict(other) != body, field.name
+        assert body_json(other) != body, field.name
 
 
 def test_body_bytes_are_canonical_json():
@@ -109,14 +137,14 @@ def test_body_bytes_are_canonical_json():
         '{"clearing_price":"9","root":"' + ROOT.hex() + '",'
         '"round":2,"settlement_digest":"' + DIGEST.hex() + '","type":"propose"}'
     )
-    assert canonical_json(body_dict(msg)) == expected
+    assert body_json(msg) == expected
     assert transport_digest(msg) == hashlib.sha256(
         TRANSPORT_DOMAIN + expected.encode()
     ).digest()
 
 
 def test_ack_body_carries_share_fields():
-    data = body_dict(Ack(round_index=0, settlement_digest=DIGEST, share=SHARE))
+    data = json.loads(body_json(Ack(round_index=0, settlement_digest=DIGEST, share=SHARE)))
     assert data["share"] == {"agent": 1, "sig": SHARE.sig.hex()}
 
 
@@ -124,13 +152,13 @@ def test_amounts_travel_as_decimal_strings():
     huge = Propose(
         round_index=0, root=ROOT, clearing_price=1 << 90, settlement_digest=DIGEST
     )
-    data = json.loads(canonical_json(body_dict(huge)))
+    data = json.loads(body_json(huge))
     assert data["clearing_price"] == str(1 << 90)
 
 
 def test_transport_digest_is_domain_separated():
     msg = MESSAGES[0]
-    body = canonical_json(body_dict(msg)).encode()
+    body = body_json(msg).encode()
     assert transport_digest(msg) == hashlib.sha256(TRANSPORT_DOMAIN + body).digest()
     assert transport_digest(msg) != hashlib.sha256(body).digest()
 
@@ -157,3 +185,32 @@ def test_open_rejects_tampered_body():
         transport_sig=env.transport_sig,
     )
     assert not open_envelope(forged, policy_with(VK, 0))
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+_HASH = st.binary(min_size=32, max_size=32)
+ANY_MESSAGE = st.one_of(
+    st.builds(Propose, _U64, _HASH, st.integers(min_value=0, max_value=2**128 - 1), _HASH),
+    st.builds(
+        Ack, _U64, _HASH,
+        st.builds(SignatureShare, _U64, st.binary(min_size=SIG_LEN, max_size=SIG_LEN)),
+    ),
+    st.builds(Nack, _U64, st.sampled_from(NACK_REASONS)),
+    st.builds(AbortMsg, _U64),
+)
+_TOP = 2**64 - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ANY_MESSAGE)
+@example(Propose(_TOP, b"\xff" * 32, 2**128 - 1, b"\xff" * 32))
+@example(Ack(_TOP, b"\xff" * 32, SignatureShare(_TOP, b"\xff" * SIG_LEN)))
+@example(Nack(_TOP, NACK_REASONS[-1]))
+@example(AbortMsg(_TOP))
+def test_the_body_is_json_dumps_of_its_object(msg):
+    # the body is filled into a template, not encoded; over the whole range of
+    # every field of every message type it must still be what json.dumps
+    # writes, and the transport digest is taken over exactly those bytes
+    body = dumps(body_object(msg))
+    assert body_json(msg) == body
+    assert transport_digest(msg) == hashlib.sha256(TRANSPORT_DOMAIN + body.encode()).digest()

@@ -10,16 +10,22 @@ change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 """
 
 import gc
+import hashlib
 import json
 from collections import deque
 
 import pytest
 
 from swarmsim import cli
+from swarmsim.agent import Log, SendPeer, SetTimer
+from swarmsim.consensus import TRANSPORT_DOMAIN
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
 from swarmsim.ledger import BLOCK_SEALED, FUNDING_RECEIVED, Ledger
-from swarmsim.scenario import build_scenario_dict, load_scenario
+from swarmsim.netsim import Simulation
+from swarmsim.scenario import agent_signing_key, build_scenario_dict, load_scenario
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
+from swarmsim.wallet import verify_signature, verifying_key_for
+from test_consensus import body_object, dumps
 
 
 def _partition_with_drops() -> dict:
@@ -169,10 +175,6 @@ def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
     assert result.accepted and result.outcome == report.outcome
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def ledger_object(ev) -> dict:
     """The object a ledger event's transcript line is the canonical JSON of."""
     kind, h, i, payload = ev
@@ -200,43 +202,132 @@ def ledger_object(ev) -> dict:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
-    # canonical_json reuses one encoder and every ledger line is filled into a
-    # template; every line a golden run writes must come out as json.dumps with
-    # the same arguments writes the whole object. A line that did not go
-    # through Transcript.add is the next event the ledger logged, whose object
-    # is built here from the event itself.
-    objs, pending, logged = [], [], []
-    add, add_line, init = Transcript.add, Transcript.add_line, Ledger.__init__
+    # canonical_json reuses one encoder, and every ledger and network line is
+    # filled into a template; every line a golden run writes must come out as
+    # json.dumps with the same arguments writes the whole object. A line that
+    # went through Transcript.add brings its object. Every other line's object
+    # is built here from what the line records: the event the ledger logged,
+    # the action the simulation executed for an agent, or the delivery or
+    # timer it handed an agent. Each kind's objects are queued in the order
+    # their lines are written; a line is read back only to pick its queue.
+    added, pending = [], []
+    # a line whose event has no queue of its own is an agent's log line
+    made = {kind: deque() for kind in
+            ("ledger", "log", "peer_send", "peer_deliver", "timer_set", "timer_fire")}
+    add, add_line = Transcript.add, Transcript.add_line
+    ledger_init, sim_init, execute = Ledger.__init__, Simulation.__init__, Simulation._exec
 
     class RecordingLog(deque):
         def append(self, ev):
-            logged.append(ev)
+            made["ledger"].append(ledger_object(ev))
             super().append(ev)
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    class Watched:
+        """An agent whose deliveries and timer fires are recorded."""
+
+        def __init__(self, agent, index):
+            self._agent, self._index = agent, index
+
+        def __getattr__(self, name):
+            return getattr(self._agent, name)
+
+        def on_peer_message(self, env, now):
+            made["peer_deliver"].append({"t": now, "event": "peer_deliver", "from": env.sender,
+                                         "to": self._index, "type": body_object(env.msg)["type"]})
+            return self._agent.on_peer_message(env, now)
+
+        def on_timer(self, now):
+            made["timer_fire"].append({"t": now, "event": "timer_fire", "agent": self._index})
+            return self._agent.on_timer(now)
+
+    def recording_ledger_init(self, *args, **kwargs):
+        ledger_init(self, *args, **kwargs)
         self.events = RecordingLog()
+
+    def recording_sim_init(self, *, agents, **kwargs):
+        sim_init(self, agents=[Watched(a, i) for i, a in enumerate(agents)], **kwargs)
+
+    def recording_exec(self, i, actions, now):
+        for act in actions:
+            if isinstance(act, Log):
+                made["log"].append(
+                    {"agent": i, "phase": act.phase, "event": act.event, "detail": act.detail}
+                )
+            elif isinstance(act, SetTimer):
+                made["timer_set"].append(
+                    {"t": now, "event": "timer_set", "agent": i, "at": now + act.duration}
+                )
+            elif isinstance(act, SendPeer):
+                msg = body_object(act.envelope.msg)
+                link = {"t": now, "from": i, "to": act.to}
+                cut = any(p.separates(i, act.to, now) for p in self.net.partitions)
+                made["peer_send"].append((
+                    {**link, "event": "peer_send", "msg": msg, "sig": act.envelope.transport_sig.hex()},
+                    {**link, "event": "peer_drop", "type": msg["type"],
+                     "cause": "partition" if cut else "random"},
+                ))
+        execute(self, i, actions, now)
 
     def recording_add(self, obj):
         pending.append(obj)
         add(self, obj)
 
     def recording_add_line(self, line):
-        objs.append(pending.pop() if pending else ledger_object(logged.pop(0)))
+        added.append(pending.pop() if pending else None)
         add_line(self, line)
 
-    monkeypatch.setattr(Ledger, "__init__", recording_init)
+    monkeypatch.setattr(Ledger, "__init__", recording_ledger_init)
+    monkeypatch.setattr(Simulation, "__init__", recording_sim_init)
+    monkeypatch.setattr(Simulation, "_exec", recording_exec)
     monkeypatch.setattr(Transcript, "add", recording_add)
     monkeypatch.setattr(Transcript, "add_line", recording_add_line)
     tr, report = run_scenario_dict(GOLDEN[name][0]())
-    assert len(objs) == len(tr.lines) > 0
-    assert pending == logged == []
-    kinds = {obj.get("kind") for obj in objs}
-    assert {"funding_received", "block_sealed"} <= kinds
+    assert len(added) == len(tr.lines) > 0 and pending == []
+
+    objs, drop = [], None
+    for line, obj in zip(tr.lines, added):
+        if obj is None:
+            fields = json.loads(line)
+            kind = "ledger" if "kind" in fields else fields["event"]
+            if kind == "peer_drop":  # it follows the send line of its message
+                obj, drop = drop, None
+            else:
+                obj = made[kind if kind in made else "log"].popleft()
+                if kind == "peer_send":
+                    obj, drop = obj
+        objs.append(obj)
+    assert all(not queue for queue in made.values())
+    kinds = {obj.get("kind") or obj.get("event") for obj in objs}
+    assert {"funding_received", "block_sealed", "peer_send", "peer_deliver", "timer_set"} <= kinds
     settled = [obj for obj in objs if obj.get("kind") == "settlement_executed"]
     assert len(settled) == report.on_chain_tx_count
     for obj, line in zip(objs, tr.lines):
         assert canonical_json(obj) == dumps(obj) == line
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_signature_a_golden_transcript_shows_verifies(name):
+    # a verifier's view of the transcript: each send line's transport
+    # signature verifies under its sender's key over the body written in that
+    # line, and each ack's share over the settlement digest it carries, so a
+    # line cannot show a body other than the one that was signed
+    data = GOLDEN[name][0]()
+    keys = [verifying_key_for(agent_signing_key(data["seed"], i))
+            for i in range(data["agents"]["n"])]
+    tr, _ = run_scenario_dict(data)
+    sends = [ev for ev in tr.iter_events() if ev.get("event") == "peer_send"]
+    assert sends
+    for ev in sends:
+        msg = ev["msg"]
+        digest = hashlib.sha256(TRANSPORT_DOMAIN + canonical_json(msg).encode()).digest()
+        assert verify_signature(keys[ev["from"]], digest, bytes.fromhex(ev["sig"]))
+        if msg["type"] == "ack":
+            share = msg["share"]
+            assert verify_signature(
+                keys[share["agent"]],
+                bytes.fromhex(msg["settlement_digest"]),
+                bytes.fromhex(share["sig"]),
+            )
 
 
 @pytest.mark.parametrize(

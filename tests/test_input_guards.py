@@ -6,7 +6,7 @@ import pytest
 from swarmsim.agent import EnclaveMock
 from swarmsim.auction import AuctionConfig, SettlementTx, encode_settlement
 from swarmsim.commitment import LEAF_LEN, verify_inclusion
-from swarmsim.consensus import body_dict
+from swarmsim.consensus import body_json
 from swarmsim.ledger import FundingWindow, Ledger, LedgerError
 from swarmsim.netsim import FaultSpec, NetConfig
 from swarmsim.scenario import agent_signing_key
@@ -61,7 +61,7 @@ GUARDS = {
         lambda: verify_inclusion(b"\x00" * 32, b"\x00" * (LEAF_LEN - 1), []),
         False,
     ),
-    "body_of_a_non_message": (lambda: body_dict(object()), TypeError("not a peer message")),
+    "body_of_a_non_message": (lambda: body_json(object()), TypeError("not a peer message")),
     "settlement_without_policy": (
         lambda: Ledger().execute_settlement(tx(), []),
         LedgerError("no wallet policy"),

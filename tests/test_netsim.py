@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmsim import auction, harness, wallet
+from swarmsim.agent import Log, SendPeer, SetTimer
+from swarmsim.consensus import Envelope, Propose
 from swarmsim.ledger import (
     BLOCK_SEALED,
     FUNDING_RECEIVED,
@@ -18,9 +20,10 @@ from swarmsim.ledger import (
     LedgerEvent,
     SettlementReceipt,
 )
-from swarmsim.netsim import NetConfig, Simulation
+from swarmsim.netsim import NetConfig, Partition, Simulation
 from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
+from test_consensus import ANY_MESSAGE, body_object, dumps
 
 
 def run(data):
@@ -202,6 +205,107 @@ def test_the_block_and_settlement_lines_are_json_dumps_of_their_objects(
     assert len(tr.lines) == 2
     assert tr.lines[0] == block_line
     assert tr.lines[1] == settlement_line
+
+
+class _AnyAgent:
+    """Stands for every agent index at once: deliveries and timer fires reach
+    an agent that does nothing, and none attests or watches the ledger."""
+
+    def __iter__(self):
+        return iter(())
+
+    def __getitem__(self, index):
+        return self
+
+    def on_peer_message(self, env, now):
+        return []
+
+    def on_timer(self, now):
+        return []
+
+
+def _network_sim(net: NetConfig) -> Simulation:
+    return Simulation(
+        ledger=Ledger(), agents=_AnyAgent(), submissions={}, last_height=0,
+        net=net, max_time=2**64, transcript=Transcript({"schema_version": 1}),
+    )
+
+
+def _network_lines(sim: Simulation) -> list[str]:
+    """The lines of a run of `sim`, less the block line its one tick seals."""
+    return [line for line in sim.transcript.lines if '"kind":"block_sealed"' not in line]
+
+
+_SIG = st.binary(min_size=64, max_size=64)
+_DELAY = st.integers(min_value=0, max_value=4)
+
+
+@pytest.mark.parametrize("fate", ("deliver", "random", "partition"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_U64, _U64, st.integers(min_value=0, max_value=2**64 - 5), ANY_MESSAGE, _SIG, _DELAY)
+@example(  # every field at its top
+    2**64 - 1, 2**64 - 2, 2**64 - 5, Propose(2**64 - 1, b"\xff" * 32, 2**128 - 1, b"\xff" * 32),
+    b"\xff" * 64, 4,
+)
+def test_the_send_deliver_and_drop_lines_are_json_dumps_of_their_objects(
+    fate, frm, to, now, msg, sig, delay
+):
+    # the send line embeds the body template, and the deliver and drop lines
+    # are templates too; for every message type, both drop causes and the
+    # whole range of every field they must still be what json.dumps writes
+    partitions = (Partition(0, 2**64, frozenset({frm}), frozenset({to})),)
+    sim = _network_sim(NetConfig(
+        delay_min=delay, delay_max=delay, drop_rate=1.0 if fate == "random" else 0.0,
+        partitions=partitions if fate == "partition" else (),
+    ))
+    sim._exec(frm, [SendPeer(to, Envelope(frm, msg, sig))], now)
+    sim.run()
+    msg_type = body_object(msg)["type"]
+    send = {"t": now, "event": "peer_send", "from": frm, "to": to,
+            "msg": body_object(msg), "sig": sig.hex()}
+    if fate == "deliver":
+        then = {"t": now + delay, "event": "peer_deliver", "from": frm, "to": to,
+                "type": msg_type}
+    else:
+        then = {"t": now, "event": "peer_drop", "from": frm, "to": to, "type": msg_type,
+                "cause": fate}
+    assert _network_lines(sim) == [dumps(send), dumps(then)]
+    outcome = "delivered" if fate == "deliver" else "dropped"
+    assert {k: v for k, v in sim.counts.items() if v} == {msg_type: 1, outcome: 1}
+
+
+_IDENTIFIER = st.from_regex(r"[a-z][a-z_]{0,20}", fullmatch=True)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**128), max_value=2**128) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _U64,
+    st.tuples(_U64, _U64).map(sorted),
+    _IDENTIFIER,
+    _IDENTIFIER,
+    st.dictionaries(st.text(), _JSON_VALUE, max_size=4),
+)
+@example(2**64 - 1, [2**64 - 2, 2**64 - 1], "cross_validating", "nack_received",
+         {"naïve": "Zürich ✓ 😀", "\u0000": "\x7f\n\"\\", "</script>": [None, True, -1]})
+def test_the_timer_and_log_lines_are_json_dumps_of_their_objects(
+    agent, times, phase, event, detail
+):
+    # the timer lines are templates and the log line embeds its encoded
+    # detail in one; with non-ASCII and escaped text in the detail, and
+    # every integer at up to 2^64 - 1, they must still be what json.dumps writes
+    now, at = times
+    sim = _network_sim(NetConfig())
+    sim._exec(agent, [Log(phase, event, detail), SetTimer(at - now)], now)
+    sim.run()
+    log = {"agent": agent, "phase": phase, "event": event, "detail": detail}
+    timer_set = {"t": now, "event": "timer_set", "agent": agent, "at": at}
+    timer_fire = {"t": at, "event": "timer_fire", "agent": agent}
+    assert _network_lines(sim) == [dumps(log), dumps(timer_set), dumps(timer_fire)]
 
 
 def test_crashed_round_zero_proposer_rotates():
