@@ -10,6 +10,8 @@ from swarmsim import cli, harness
 from swarmsim.netsim import Simulation
 from swarmsim.scenario import build_scenario_dict
 
+pytestmark = pytest.mark.golden_matrix
+
 
 def write(tmp_path, data, name="scenario.json"):
     path = tmp_path / name

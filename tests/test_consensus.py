@@ -201,6 +201,7 @@ ANY_MESSAGE = st.one_of(
 _TOP = 2**64 - 1
 
 
+@pytest.mark.golden_matrix
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ANY_MESSAGE)
 @example(Propose(_TOP, b"\xff" * 32, 2**128 - 1, b"\xff" * 32))

@@ -27,6 +27,8 @@ from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 from swarmsim.wallet import verify_signature, verifying_key_for
 from test_consensus import body_object, dumps
 
+pytestmark = pytest.mark.golden_matrix
+
 
 def _partition_with_drops() -> dict:
     data = build_scenario_dict(agents=4, threshold=3, drop_rate=0.1)

@@ -375,6 +375,7 @@ def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
     assert verify_peak <= 1.08 * run_peak
 
 
+@pytest.mark.golden_matrix
 def test_the_settlement_line_is_written_in_three_times_its_length():
     # the line's arrays are encoded a slice at a time, never held as lists
     # of hex strings and pairs (6.5 times this line when they were)
@@ -406,6 +407,7 @@ def test_the_settlement_line_is_written_in_three_times_its_length():
     assert peak <= 3 * len(line)
 
 
+@pytest.mark.golden_matrix
 def test_a_run_frees_its_ledger_before_the_oracle(monkeypatch):
     # the oracle's transients reuse the simulation's memory instead of
     # stacking on it; freed by reference counts, as with the collector paused

@@ -43,6 +43,8 @@ from swarmsim.ledger import (
     encode_amount,
 )
 
+pytestmark = pytest.mark.golden_matrix
+
 WINDOW = FundingWindow(2, 5)
 AUCTION_ID = b"\x42" * 32
 SHARED_TX_IDS = (b"\x01" * 32, b"\x02" * 32)  # forces ties on the first tx id

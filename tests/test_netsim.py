@@ -110,6 +110,7 @@ def test_a_high_window_end_costs_no_memory_per_height():
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+@pytest.mark.golden_matrix
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.binary(min_size=20, max_size=20),
@@ -147,6 +148,7 @@ def _cycled(count, pattern):
     return tuple(pattern[n % len(pattern)] for n in range(count))
 
 
+@pytest.mark.golden_matrix
 @pytest.mark.parametrize("k", range(len(_COUNTS)))
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
@@ -240,6 +242,7 @@ _SIG = st.binary(min_size=64, max_size=64)
 _DELAY = st.integers(min_value=0, max_value=4)
 
 
+@pytest.mark.golden_matrix
 @pytest.mark.parametrize("fate", ("deliver", "random", "partition"))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_U64, _U64, st.integers(min_value=0, max_value=2**64 - 5), ANY_MESSAGE, _SIG, _DELAY)
@@ -282,6 +285,7 @@ _JSON_VALUE = st.recursive(
 )
 
 
+@pytest.mark.golden_matrix
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     _U64,
