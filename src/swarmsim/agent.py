@@ -173,7 +173,7 @@ class Agent:
         self.expected_measurement = expected_measurement
 
         self.phase = PHASE_MONITORING
-        self.view: list[Contribution] = []
+        self.view: list[Contribution] | None = []  # released once cleared
         self.clearing_price: int | None = None
         self.bid_count = 0  # in-window bidders at the last _recompute
         self.root: bytes | None = None
@@ -277,7 +277,6 @@ class Agent:
     def _on_funding(self, tx: Contribution) -> list[AgentAction]:
         # Only cross_validating and signing agents get here, after the window-end
         # seal, so every funding is a late full refund that never moves the root.
-        self.view.append(tx)
         old = self.digest
         encoding = self._encoding or auction.encode_settlement(self.tx)
         self.tx, self._encoding = auction.append_full_refund(
@@ -403,6 +402,7 @@ class Agent:
 
     def _recompute(self) -> None:
         bids, outside = auction.aggregate(self.view, self.auction_cfg.window)
+        self.view = None  # its last reader: late fundings splice into tx instead
         result = auction.compute_clearing(self.auction_cfg, bids, outside)
         ordered = result.winners + result.losers
         self.root = commitment.bid_list_root(ordered)
@@ -412,8 +412,8 @@ class Agent:
         self._encoding = None
 
     def _recheck(self) -> list[AgentAction]:
-        """Conflict path: nothing to re-clear. Past the window-end seal the view
-        grows only by late fundings, which `_on_funding` has already spliced in."""
+        """Conflict path: nothing to re-clear. Past the window-end seal only late
+        fundings arrive, and `_on_funding` has already spliced each one in."""
         if self.phase != PHASE_CROSS_VALIDATING:
             return []
         return [

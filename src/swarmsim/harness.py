@@ -12,9 +12,9 @@ stored one as it is added, stopping at the first divergence.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import heapq
+import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -167,23 +167,20 @@ def run_scenario_dict(
     lines; with one, each line goes to the sink's consumer instead."""
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
-    tr, _, report = _run(parse_scenario(data, raw), sink)
-    return tr, report()
+    return _run(parse_scenario(data, raw), sink)
 
 
 def run_scenario(path: str) -> tuple[Transcript, RunReport]:
     return run_scenario_dict(*load_scenario(path))
 
 
-def _run(sc: Scenario, sink: Sink | None = None) -> tuple:
-    """Execute to quiescence and classify. Returns the transcript, the outcome,
-    and a call that builds the run report."""
+def _run(sc: Scenario, sink: Sink | None = None) -> tuple[Transcript, RunReport]:
+    """Execute to quiescence, classify, and report."""
     enclaves = [EnclaveMock(agent_signing_key(sc.seed, i)) for i in range(sc.n)]
     # One policy per run: the ledger and every agent share its memo of checked
     # signatures, and the memo ends with the run.
     policy = MultisigPolicy(agent_keys=tuple(e.verifying_key for e in enclaves), m=sc.m)
-    ledger = Ledger()
-    ledger.register_wallet(policy)
+    ledger = Ledger(policy)
     cfg = AuctionConfig(
         n_items=sc.n_items, window=sc.window, auction_id=derive_auction_id(sc.seed)
     )
@@ -225,8 +222,8 @@ def _run(sc: Scenario, sink: Sink | None = None) -> tuple:
     )
     sim.run()
 
-    receipt = next(iter(ledger.settled.values()), None)
-    settlements = ledger.settlement_count()
+    receipt = ledger.receipt
+    settlements = int(receipt is not None)
     aborted = any(a.phase == PHASE_ABORTED for a in agents)
     rounds_used = max((a.round + 1 for a in agents), default=0)
     counts, inflow, max_time_exceeded = sim.counts, sim.inflow, sim.max_time_exceeded
@@ -245,8 +242,8 @@ def _run(sc: Scenario, sink: Sink | None = None) -> tuple:
             "max_time_exceeded": max_time_exceeded,
         }
     )
-    return tr, outcome, functools.partial(
-        _build_report, tr, outcome, receipt, settlements, rounds_used, oracle_tx,
+    return tr, _build_report(
+        tr, outcome, receipt, settlements, rounds_used, oracle_tx,
         oracle_price, oracle_digest, counts, inflow, max_time_exceeded,
     )
 
@@ -346,9 +343,12 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
     data, raw_scn = load_scenario(scenario_path)
     with contextlib.closing(load_lines(transcript_path)) as stored:
         try:
-            header = next(stored)
+            header_line = next(stored)
+            header = json.loads(header_line)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
+        if not isinstance(header, dict):
+            raise SchemaMismatch("transcript not parseable: header line is not a JSON object")
         if header.get("schema_version") != SCHEMA_VERSION:
             raise SchemaMismatch(
                 f"unsupported schema_version {header.get('schema_version')!r}"
@@ -373,8 +373,16 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
             if got != expected:
                 raise _Diverged(_divergence(line_number, got, expected))
 
+        def compare_header(replayed: dict) -> Callable[[str], None]:
+            # The checks above compare values (True == 1, 7.0 == 7); this one
+            # compares the bytes, as `run` writes them.
+            expected = canonical_json(replayed)
+            if header_line != expected:
+                raise _Diverged(_divergence(1, header_line, expected))
+            return compare
+
         try:
-            outcome = _run(sc, lambda _header: compare)[1]  # drops the report call
+            outcome = _run(sc, compare_header)[1].outcome
             line_number, extra = next(numbered)
         except _Diverged as exc:
             return exc.args[0]

@@ -123,26 +123,22 @@ class SettlementReceipt:
 
 
 class Ledger:
-    """Single-owner mutable chain state.
+    """Single-owner mutable chain state of one sale's wallet.
 
     Only the simulation driver mutates a Ledger; agents receive immutable
-    events and snapshots. Settlement is gated on the registered multisig
-    policy and executes at most once per auction id.
+    events and snapshots. Settlement is gated on the wallet's multisig
+    policy (a wallet.MultisigPolicy) and executes at most once: `receipt`
+    is None until it does.
     """
 
-    def __init__(self):
-        self._policy = None
+    def __init__(self, policy):
+        self._policy = policy
         self._queues: dict[int, list[Contribution]] = {}
         self.next_height = 0
         self._seq = 0
         self.balance = 0
         self.events: deque[LedgerEvent] = deque()
-        self.settled: dict[bytes, SettlementReceipt] = {}
-
-    # -- wallet policy ----------------------------------------------------
-
-    def register_wallet(self, policy) -> None:
-        self._policy = policy
+        self.receipt: SettlementReceipt | None = None
 
     # -- chain growth ------------------------------------------------------
 
@@ -198,10 +194,8 @@ class Ledger:
         """
         from . import wallet  # local import: wallet depends on auction types only
 
-        if self._policy is None:
-            raise LedgerError("no wallet policy registered")
-        if tx.auction_id in self.settled:
-            raise AlreadySettled(f"auction {tx.auction_id.hex()} already settled")
+        if self.receipt is not None:
+            raise AlreadySettled(f"auction {self.receipt.tx.auction_id.hex()} already settled")
         digest = wallet.settlement_digest(tx)
         verdict = wallet.verify_bundle(self._policy, digest, sigs)
         if not verdict.accepted:
@@ -220,18 +214,14 @@ class Ledger:
             self.seal_block()
         height = self.next_height
         self.balance -= outflow
-        receipt = SettlementReceipt(
+        self.receipt = SettlementReceipt(
             digest=digest,
             partial_refund_total=partial,
             full_refund_total=full,
             retained_balance=self.balance,
             tx=tx,
         )
-        self.settled[tx.auction_id] = receipt
-        self._emit(SETTLEMENT_EXECUTED, height, 0, receipt)
+        self._emit(SETTLEMENT_EXECUTED, height, 0, self.receipt)
         self.next_height += 1
         self._emit(BLOCK_SEALED, height, 1, ())
-        return receipt
-
-    def settlement_count(self) -> int:
-        return len(self.settled)
+        return self.receipt

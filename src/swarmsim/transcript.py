@@ -102,17 +102,15 @@ def stream_to(fh, header: dict) -> Callable[[str], None]:
 
 
 def load_lines(path: str):
-    """Yield the header dict, then each raw body line exactly as stored, one read
-    at a time; closing the generator closes the file. Raises ValueError when the
-    file is empty, its header is not a JSON object, or a line is not UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield each line exactly as stored, the header line first, less its "\n",
+    one read at a time; closing the generator closes the file. Only "\n" ends
+    a line, so a "\r" stays in its line. Raises ValueError when the file is
+    empty or a line is not UTF-8."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         first = fh.readline()
         if not first:
             raise ValueError("empty transcript file")
-        header = json.loads(first.removesuffix("\n"))
-        if not isinstance(header, dict):
-            raise ValueError("header line is not a JSON object")
-        yield header
+        yield first.removesuffix("\n")
         for line in fh:
             yield line.removesuffix("\n")
 

@@ -3,7 +3,7 @@
 Signatures are Ed25519 (32-byte keys, 64-byte signatures, deterministic),
 applied directly to 32-byte digests. A bundle is accepted when at least m
 distinct agent indexes contribute a share that verifies against that
-index's registered key; garbage shares are reported but never veto an
+index's registered key; garbage shares are ignored and never veto an
 honest quorum. A policy remembers every (key, digest, signature) it has
 checked, so one run's agents and ledger verify each distinct signature once.
 """
@@ -78,8 +78,6 @@ class MultisigPolicy:
 class BundleVerdict:
     accepted: bool
     reason: str | None
-    valid_indices: tuple[int, ...]
-    ignored: tuple[tuple[int, str], ...]  # (agent_index, problem)
 
 
 def _private_key(signing_key: bytes | Ed25519PrivateKey) -> Ed25519PrivateKey:
@@ -121,29 +119,22 @@ def verify_bundle(
     """Accept iff >= m distinct indexes carry a share valid under their key.
 
     Duplicate indexes count once; invalid or unknown-index shares are
-    ignored and listed in the verdict so callers can log them.
+    ignored.
     """
     valid: set[int] = set()
-    ignored: list[tuple[int, str]] = []
     known_index_seen = False
     for share in sigs:
         if share.agent_index >= policy.n:
-            ignored.append((share.agent_index, "unknown_index"))
             continue
         known_index_seen = True
-        if share.agent_index in valid:
-            ignored.append((share.agent_index, "duplicate"))
-            continue
-        if policy.verify(share.agent_index, digest, share.sig):
+        if share.agent_index not in valid and policy.verify(share.agent_index, digest, share.sig):
             valid.add(share.agent_index)
-        else:
-            ignored.append((share.agent_index, "bad_signature"))
     if len(valid) >= policy.m:
-        return BundleVerdict(True, None, tuple(sorted(valid)), tuple(ignored))
+        return BundleVerdict(True, None)
     if not sigs:
         reason = REJECT_EMPTY
     elif not known_index_seen:
         reason = REJECT_UNKNOWN_INDEX_ONLY
     else:
         reason = REJECT_BELOW_THRESHOLD
-    return BundleVerdict(False, reason, tuple(sorted(valid)), tuple(ignored))
+    return BundleVerdict(False, reason)

@@ -78,8 +78,18 @@ def exchange_attestations(agents):
     return {a.index: a.observe_attestations(triples) for a in agents}
 
 
+def new_ledger():
+    """A chain for the agents to watch; no test here settles on it."""
+    return Ledger(make_world()[2])
+
+
+def fed_contributions(led):
+    """Every funding `led` sealed, in the order the agents were fed them."""
+    return [e.payload for e in led.events if e.kind == FUNDING_RECEIVED]
+
+
 def funded_ledger():
-    led = Ledger()
+    led = new_ledger()
     led.seal_block()  # height 0
     led.submit_funding(A, 7, 1)
     led.submit_funding(B, 3, 1)
@@ -151,7 +161,7 @@ def test_tampered_measurement_excluded_from_roster():
 def test_funding_during_window_accumulates_silently():
     agents, _, _, _ = make_world()
     exchange_attestations(agents)
-    led = Ledger()
+    led = new_ledger()
     led.seal_block()
     led.submit_funding(A, 7, 1)
     actions = []
@@ -169,7 +179,7 @@ def test_window_end_seal_enters_cross_validation_with_oracle_root():
     agents, _, _, cfg, actions = ready_world()
     agent = agents[0]
     assert agent.phase == PHASE_CROSS_VALIDATING
-    bids, late = auction.aggregate(agent.view, WINDOW)
+    bids, late = auction.aggregate(fed_contributions(funded_ledger()), WINDOW)
     result = auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
     expected = commitment.bid_list_root(list(result.winners) + list(result.losers))
     assert agent.root == expected
@@ -440,6 +450,7 @@ def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
     agents, _, _, _, _ = ready_world()
     agent = agents[1]
     assert agent.phase == PHASE_CROSS_VALIDATING
+    cleared = cleared_state(agent)
     led = funded_ledger()
     (end_seal,) = [
         e for e in led.events if e.kind == BLOCK_SEALED and e.height == WINDOW.end_height
@@ -452,7 +463,20 @@ def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
         assert WINDOW.contains(ev.height)
         with pytest.raises(OutOfOrderEvent):
             agent.on_ledger_event(ev, 9)
-    assert agent.phase == PHASE_CROSS_VALIDATING and len(agent.view) == 3
+    assert agent.phase == PHASE_CROSS_VALIDATING and cleared_state(agent) == cleared
+
+
+def test_the_window_end_seal_releases_the_view_and_late_fundings_still_splice():
+    agents, _, _, cfg, _ = ready_world()
+    assert [agent.view for agent in agents] == [None] * len(agents)
+    agent = agents[1]
+    tx, digest = agent.tx, agent.digest
+    late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
+    agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 0, late), 8)
+    assert agent.view is None
+    assert agent.tx.full_refunds == tx.full_refunds + ((C, 9),)
+    assert agent.digest == wallet.settlement_digest(agent.tx) != digest
+    assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
 
 
 def test_signing_guard_refuses_second_digest():
@@ -483,6 +507,16 @@ def cleared_state(agent):
     return (agent.tx, agent.digest, agent.root, agent.clearing_price, agent.bid_count)
 
 
+def fresh_clear(cfg, contributions):
+    """The `cleared_state` of one clearing of `contributions`."""
+    bids, late = auction.aggregate(contributions, cfg.window)
+    result = auction.compute_clearing(cfg, bids, late)
+    tx = auction.build_settlement(cfg, result)
+    root = commitment.bid_list_root(result.winners + result.losers)
+    bid_count = len(result.winners) + len(result.losers)
+    return (tx, wallet.settlement_digest(tx), root, result.clearing_price, bid_count)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     view=st.lists(st.tuples(fundings, st.integers(min_value=0, max_value=2)), max_size=8),
@@ -495,10 +529,10 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
 ):
     # a conflict re-check between late fundings keeps the spliced state; the
     # refreshes after it go on from it and must end where a fresh clear does
-    agents, _, _, _ = make_world(n_items=n_items)
+    agents, _, _, cfg = make_world(n_items=n_items)
     exchange_attestations(agents)
     agent = agents[1]
-    led = Ledger()
+    led = new_ledger()
     heights = [h for _, h in view] + list(range(3, 3 + len(late)))
     for (sender, amount), height in zip([f for f, _ in view] + late, heights):
         led.submit_funding(bytes([sender + 1]) * 20, amount, height)
@@ -512,9 +546,7 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     refreshes = logs(actions, "refresh")
     assert len(refreshes) == len(late)
     assert refreshes[-1].detail["digest"] == agent.digest.hex()
-    after = cleared_state(agent)
-    agent._recompute()
-    assert after == cleared_state(agent)
+    assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(led))
 
 
 def counting_aggregate(monkeypatch):
@@ -560,8 +592,8 @@ def test_conflicts_clear_the_auction_once_per_agent(monkeypatch):
 
 def test_recheck_after_a_late_funding_keeps_the_spliced_state(monkeypatch):
     # a re-check never re-clears: a late funding is already spliced in, and
-    # the spliced state is what a fresh clear of the view gives
-    agents, _, _, _, _ = ready_world()
+    # the spliced state is what a fresh clear of every funding gives
+    agents, _, _, cfg, _ = ready_world()
     agent = agents[1]
     calls = counting_aggregate(monkeypatch)
     (recheck,) = logs(agent._recheck(), "recheck")
@@ -574,8 +606,7 @@ def test_recheck_after_a_late_funding_keeps_the_spliced_state(monkeypatch):
     (recheck,) = logs(agent._recheck(), "recheck")
     assert calls == [] and recheck.detail["changed"] is False
     assert cleared_state(agent) == refreshed
-    agent._recompute()
-    assert cleared_state(agent) == refreshed
+    assert refreshed == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
 
 
 def test_enclave_holds_a_key_object_not_the_key_bytes():

@@ -212,11 +212,43 @@ def stored_run(tmp_path, **flags):
 
 @pytest.mark.parametrize("end, last", [("\r\n", "\r\n"), ("\n", "")])
 def test_verify_reads_crlf_and_a_missing_final_newline_as_stored(tmp_path, capsys, end, last):
+    # read as stored, not translated: CRLF endings differ from the header line
+    # on; a missing final newline leaves every line's bytes as `run` wrote them
     tfile, spath = stored_run(tmp_path)
     lines = tfile.read_text(encoding="utf-8").splitlines()
     tfile.write_bytes((end.join(lines) + last).encode("utf-8"))
-    assert cli.main(["verify", tfile.as_posix(), spath]) == 0
-    assert "accept" in capsys.readouterr().out
+    crlf = end == "\r\n"
+    capsys.readouterr()
+    assert cli.main(["verify", tfile.as_posix(), spath]) == (1 if crlf else 0)
+    out = capsys.readouterr().out
+    assert out.startswith("reject: divergence" if crlf else "accept")
+    assert ("first divergence at line 1\n" in out) is crlf
+
+
+# Each turns a stored transcript into bytes `run` never writes, and names the
+# line where verify must see the first divergence.
+NEVER_WRITTEN = {
+    "schema_version_true": (
+        lambda head, body: (head.replace(b'"schema_version":1', b'"schema_version":true'), body), 1
+    ),
+    "seed_float": (lambda head, body: (head.replace(b'"seed":11', b'"seed":11.0'), body), 1),
+    "extra_key": (lambda head, body: (b'{"comment":"x",' + head[1:], body), 1),
+    "spaced_header": (lambda head, body: (b" " + head + b" ", body), 1),
+    "crlf_body": (lambda head, body: (head, body.replace(b"\n", b"\r\n")), 2),
+}
+
+
+@pytest.mark.parametrize("change, line", NEVER_WRITTEN.values(), ids=NEVER_WRITTEN.keys())
+def test_verify_rejects_bytes_run_never_writes(tmp_path, capsys, change, line):
+    tfile, spath = stored_run(tmp_path)
+    head, body = tfile.read_bytes().split(b"\n", 1)
+    head, body = change(head, body)
+    tfile.write_bytes(head + b"\n" + body)
+    capsys.readouterr()
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("reject: divergence\n")
+    assert f"first divergence at line {line}\n" in out
 
 
 def test_verify_bad_utf8_past_the_first_read_is_a_schema_mismatch(tmp_path, capsys):

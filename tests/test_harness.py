@@ -39,6 +39,7 @@ from swarmsim.scenario import (
     parse_scenario,
 )
 from swarmsim.transcript import Transcript, canonical_json
+from swarmsim.wallet import MultisigPolicy
 
 # frozen regression values for the stock scenario (seed 7, 12 bidders,
 # 4 items, 3 agents, threshold 2); any drift in population derivation,
@@ -389,7 +390,7 @@ def test_the_settlement_line_is_written_in_three_times_its_length():
         full_refunds=tuple((address(20_000 + n), 3**60 + n) for n in range(6_000)),
     )
     receipt = SettlementReceipt(bytes(32), 1, 2, 3, tx)
-    ledger = Ledger()
+    ledger = Ledger(MultisigPolicy(agent_keys=(bytes(32),), m=1))  # never settles
     ledger.events.append(LedgerEvent(SETTLEMENT_EXECUTED, 7, 0, receipt))
     tr = Transcript({})
     sim = Simulation(
@@ -416,8 +417,8 @@ def test_a_run_frees_its_ledger_before_the_oracle(monkeypatch):
     oracle = harness.oracle_settlement
 
     class TrackedLedger(Ledger):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, policy):
+            super().__init__(policy)
             refs.append(weakref.ref(self))
 
     def checking_oracle(sc):

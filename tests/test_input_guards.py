@@ -7,7 +7,7 @@ from swarmsim.agent import EnclaveMock
 from swarmsim.auction import AuctionConfig, SettlementTx, encode_settlement
 from swarmsim.commitment import LEAF_LEN, verify_inclusion
 from swarmsim.consensus import body_json
-from swarmsim.ledger import FundingWindow, Ledger, LedgerError
+from swarmsim.ledger import FundingWindow
 from swarmsim.netsim import FaultSpec, NetConfig
 from swarmsim.scenario import agent_signing_key
 from swarmsim.wallet import (
@@ -62,10 +62,6 @@ GUARDS = {
         False,
     ),
     "body_of_a_non_message": (lambda: body_json(object()), TypeError("not a peer message")),
-    "settlement_without_policy": (
-        lambda: Ledger().execute_settlement(tx(), []),
-        LedgerError("no wallet policy"),
-    ),
 }
 
 

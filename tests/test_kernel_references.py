@@ -42,8 +42,12 @@ from swarmsim.ledger import (
     ZeroAmount,
     encode_amount,
 )
+from swarmsim.wallet import MultisigPolicy
 
 pytestmark = pytest.mark.golden_matrix
+
+# The policy of a ledger that only grows a chain: no test here settles on it.
+CHAIN_ONLY = MultisigPolicy(agent_keys=(bytes(32),), m=1)
 
 WINDOW = FundingWindow(2, 5)
 AUCTION_ID = b"\x42" * 32
@@ -305,7 +309,7 @@ def test_bid_list_root_raises_what_encode_bid_leaf_raises(fields):
      (AMOUNT_LIMIT, ArithmeticOverflow)],
 )
 def test_submit_funding_rejects_bad_amounts(amount, exc):
-    ledger = Ledger()
+    ledger = Ledger(CHAIN_ONLY)
     with pytest.raises(Exception) as info:
         ledger.submit_funding(b"\xaa" * 20, amount, 0)
     assert type(info.value) is exc
@@ -314,7 +318,7 @@ def test_submit_funding_rejects_bad_amounts(amount, exc):
 
 @pytest.mark.parametrize("amount", [1, 2**64, AMOUNT_LIMIT - 1])
 def test_funding_tx_id_keeps_its_layout(amount):
-    ledger = Ledger()
+    ledger = Ledger(CHAIN_ONLY)
     ledger.submit_funding(b"\xbb" * 20, 7, 3)
     tx_id = ledger.submit_funding(b"\xaa" * 20, amount, 4)
     expected = hashlib.sha256(

@@ -1,5 +1,7 @@
 """Ledger mechanics: funding, sealing, settlement execution."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,13 +38,16 @@ def make_policy(n=3, m=2, seed=1):
     return keys, policy
 
 
+KEYS, POLICY = make_policy()
+
+
 def sign_tx(tx, keys, indices):
     digest = wallet.settlement_digest(tx)
     return [SignatureShare(agent_index=i, sig=wallet.sign(keys[i], digest)) for i in indices]
 
 
 def test_submit_returns_tx_id_and_balance_grows_after_seal():
-    led = Ledger()
+    led = Ledger(POLICY)
     led.seal_block()  # height 0
     tx_id = led.submit_funding(A, 5, 1)
     assert isinstance(tx_id, bytes) and len(tx_id) == 32
@@ -52,7 +57,7 @@ def test_submit_returns_tx_id_and_balance_grows_after_seal():
 
 
 def test_identical_submissions_get_distinct_tx_ids():
-    led = Ledger()
+    led = Ledger(POLICY)
     led.seal_block()
     t1 = led.submit_funding(A, 5, 1)
     t2 = led.submit_funding(A, 5, 1)
@@ -60,20 +65,20 @@ def test_identical_submissions_get_distinct_tx_ids():
 
 
 def test_zero_amount_rejected():
-    led = Ledger()
+    led = Ledger(POLICY)
     with pytest.raises(ZeroAmount):
         led.submit_funding(A, 0, 0)
 
 
 def test_amount_must_fit_sixteen_bytes():
-    led = Ledger()
+    led = Ledger(POLICY)
     with pytest.raises(ArithmeticOverflow):
         led.submit_funding(A, AMOUNT_LIMIT, 0)
     led.submit_funding(A, AMOUNT_LIMIT - 1, 0)
 
 
 def test_height_in_past_rejected():
-    led = Ledger()
+    led = Ledger(POLICY)
     led.seal_block()
     led.seal_block()
     with pytest.raises(HeightInPast):
@@ -81,20 +86,20 @@ def test_height_in_past_rejected():
 
 
 def test_bad_address_rejected():
-    led = Ledger()
+    led = Ledger(POLICY)
     with pytest.raises(ValueError):
         led.submit_funding(b"\xaa" * 19, 5, 0)
 
 
 def test_seal_empty_block():
-    led = Ledger()
+    led = Ledger(POLICY)
     assert led.seal_block() == 0
     (ev,) = led.events
     assert ev.kind == BLOCK_SEALED and ev.payload == ()
 
 
 def test_seal_preserves_submission_order():
-    led = Ledger()
+    led = Ledger(POLICY)
     for who, amt in ((A, 1), (B, 2), (C, 3)):
         led.submit_funding(who, amt, 0)
     led.seal_block()
@@ -104,14 +109,14 @@ def test_seal_preserves_submission_order():
 
 
 def test_heights_are_consecutive():
-    led = Ledger()
+    led = Ledger(POLICY)
     for expected in range(6):
         assert led.seal_block() == expected
     assert led.next_height == 6
 
 
 def test_event_stream_is_totally_ordered():
-    led = Ledger()
+    led = Ledger(POLICY)
     led.submit_funding(A, 1, 0)
     led.submit_funding(B, 2, 0)
     led.seal_block()
@@ -134,8 +139,7 @@ def fundings(led):
 def settle_simple(m_sign=2):
     """Fund A with 7 and B with 3, clear 1 item, settle with m_sign shares."""
     keys, policy = make_policy()
-    led = Ledger()
-    led.register_wallet(policy)
+    led = Ledger(policy)
     led.submit_funding(A, 7, 0)
     led.submit_funding(B, 3, 0)
     led.seal_block()
@@ -154,29 +158,39 @@ def test_execute_settlement_happy_path():
     assert receipt.tx == tx and len(receipt.tx.mints) == 1
     assert receipt.full_refund_total == 3
     assert receipt.retained_balance == 7
-    assert led.settlement_count() == 1
+    assert led.receipt is receipt
     assert sum(1 for ev in led.events if ev.kind == SETTLEMENT_EXECUTED) == 1
 
 
 def test_settlement_replay_rejected():
     led, tx, sigs = settle_simple()
-    led.execute_settlement(tx, sigs)
+    receipt = led.execute_settlement(tx, sigs)
     with pytest.raises(AlreadySettled):
         led.execute_settlement(tx, sigs)
-    assert led.settlement_count() == 1
+    assert led.receipt is receipt
+
+
+def test_a_second_settlement_of_another_auction_id_is_rejected():
+    # the wallet sells once: a valid, affordable bundle for another id is refused too
+    led, tx, sigs = settle_simple()
+    receipt = led.execute_settlement(tx, sigs)
+    other = dataclasses.replace(tx, auction_id=b"\x02" * 32)
+    with pytest.raises(AlreadySettled):
+        led.execute_settlement(other, sign_tx(other, KEYS, range(2)))
+    assert led.receipt is receipt
+    assert sum(1 for ev in led.events if ev.kind == SETTLEMENT_EXECUTED) == 1
 
 
 def test_below_threshold_bundle_rejected():
     led, tx, sigs = settle_simple(m_sign=1)
     with pytest.raises(BadSignatureBundle):
         led.execute_settlement(tx, sigs)
-    assert led.settlement_count() == 0
+    assert led.receipt is None
 
 
 def test_overspending_settlement_rejected():
     keys, policy = make_policy()
-    led = Ledger()
-    led.register_wallet(policy)
+    led = Ledger(policy)
     led.submit_funding(A, 5, 0)
     led.seal_block()
     tx = auction.SettlementTx(
@@ -200,8 +214,7 @@ def test_encode_amount_is_sixteen_byte_big_endian():
 )
 def test_conservation_exact_after_settlement(amounts):
     keys, policy = make_policy()
-    led = Ledger()
-    led.register_wallet(policy)
+    led = Ledger(policy)
     senders = [bytes([i + 1]) * 20 for i in range(len(amounts))]
     for who, amt in zip(senders, amounts):
         led.submit_funding(who, amt, 0)

@@ -23,7 +23,11 @@ from swarmsim.ledger import (
 from swarmsim.netsim import NetConfig, Partition, Simulation
 from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
+from swarmsim.wallet import MultisigPolicy
 from test_consensus import ANY_MESSAGE, body_object, dumps
+
+# The policy of a ledger that only grows a chain: no test here settles on it.
+CHAIN_ONLY = MultisigPolicy(agent_keys=(bytes(32),), m=1)
 
 
 def run(data):
@@ -78,7 +82,7 @@ def test_same_seed_same_schedule():
 def test_empty_simulation_emits_only_seals():
     tr = Transcript({"schema_version": 1})
     sim = Simulation(
-        ledger=Ledger(),
+        ledger=Ledger(CHAIN_ONLY),
         agents=[],
         submissions={},
         last_height=3,
@@ -124,7 +128,7 @@ def test_the_funding_line_is_json_dumps_of_its_object(sender, amount, height, in
     # range of every field it must still be what json.dumps writes
     tr = Transcript({"schema_version": 1})
     sim = Simulation(
-        ledger=Ledger(), agents=[], submissions={}, last_height=0,
+        ledger=Ledger(CHAIN_ONLY), agents=[], submissions={}, last_height=0,
         net=NetConfig(), max_time=1, transcript=tr,
     )
     tx = Contribution(sender, amount, height, tx_id)
@@ -180,7 +184,7 @@ def test_the_block_and_settlement_lines_are_json_dumps_of_their_objects(
     receipt = SettlementReceipt(digest, *totals, tx)
     tr = Transcript({"schema_version": 1})
     sim = Simulation(
-        ledger=Ledger(), agents=[], submissions={}, last_height=0,
+        ledger=Ledger(CHAIN_ONLY), agents=[], submissions={}, last_height=0,
         net=NetConfig(), max_time=1, transcript=tr,
     )
     sim.ledger.events.append(LedgerEvent(BLOCK_SEALED, block_h, block_i, (None,) * tx_count))
@@ -228,7 +232,7 @@ class _AnyAgent:
 
 def _network_sim(net: NetConfig) -> Simulation:
     return Simulation(
-        ledger=Ledger(), agents=_AnyAgent(), submissions={}, last_height=0,
+        ledger=Ledger(CHAIN_ONLY), agents=_AnyAgent(), submissions={}, last_height=0,
         net=net, max_time=2**64, transcript=Transcript({"schema_version": 1}),
     )
 

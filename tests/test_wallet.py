@@ -17,6 +17,7 @@ from swarmsim.wallet import (
     REJECT_EMPTY,
     REJECT_UNKNOWN_INDEX_ONLY,
     SIG_LEN,
+    BundleVerdict,
     MultisigPolicy,
     SignatureShare,
     settlement_digest,
@@ -106,11 +107,17 @@ def test_sign_requires_32_byte_digest():
         sign(KEYS[0], b"\x00" * 31)
 
 
+def count_decides(shares, digest, count):
+    """`shares` carry exactly `count` distinct valid indexes: a threshold of
+    `count` accepts them and one of `count + 1` does not."""
+    assert verify_bundle(policy(m=count), digest, shares) == BundleVerdict(True, None)
+    verdict = verify_bundle(policy(m=count + 1), digest, shares)
+    assert verdict == BundleVerdict(False, REJECT_BELOW_THRESHOLD)
+
+
 def test_bundle_two_distinct_valid_accepts():
     digest = settlement_digest(sample_tx())
-    verdict = verify_bundle(policy(), digest, [share(0, digest), share(1, digest)])
-    assert verdict.accepted
-    assert verdict.valid_indices == (0, 1)
+    count_decides([share(0, digest), share(1, digest)], digest, 2)
 
 
 def test_bundle_duplicate_signer_counts_once():
@@ -123,10 +130,7 @@ def test_bundle_duplicate_signer_counts_once():
 def test_bundle_ignores_corrupted_share_but_counts_valid_ones():
     digest = settlement_digest(sample_tx())
     shares = [share(0, digest), share(1, digest, valid=False), share(2, digest)]
-    verdict = verify_bundle(policy(), digest, shares)
-    assert verdict.accepted
-    assert verdict.valid_indices == (0, 2)
-    assert [i for i, _ in verdict.ignored] == [1]
+    count_decides(shares, digest, 2)
 
 
 def test_bundle_empty_rejected():
@@ -145,9 +149,7 @@ def test_bundle_unknown_index_only_rejected():
 def test_bundle_valid_share_recovers_from_earlier_invalid_same_index():
     digest = settlement_digest(sample_tx())
     shares = [share(0, digest, valid=False), share(0, digest), share(1, digest)]
-    verdict = verify_bundle(policy(), digest, shares)
-    assert verdict.accepted
-    assert verdict.valid_indices == (0, 1)
+    count_decides(shares, digest, 2)
 
 
 def test_policy_requires_distinct_keys():
@@ -182,8 +184,7 @@ def test_policy_memo_still_rejects_a_flipped_bit_after_warming_up():
         assert not pol.verify(0, digest, bytes(flipped))  # a false answer is kept false
         bad = SignatureShare(agent_index=0, sig=bytes(flipped))
         verdict = verify_bundle(pol, digest, [bad, share(1, digest)])
-        assert not verdict.accepted
-        assert verdict.ignored == ((0, "bad_signature"),)
+        assert verdict == BundleVerdict(False, REJECT_BELOW_THRESHOLD)
     # the same signature under another index's key is a distinct triple
     assert not pol.verify(1, digest, good.sig)
 
