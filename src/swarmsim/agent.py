@@ -18,7 +18,7 @@ different settlement digests in one run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -179,7 +179,8 @@ class Agent:
         self.root: bytes | None = None
         self.tx: SettlementTx | None = None
         self.digest: bytes | None = None
-        self._encoding: bytes | None = None  # of self.tx, kept from the first refresh on
+        self._head = None  # SHA-256 state of self.tx's encoding up to its full refunds
+        self._full: bytearray | None = None  # the full refunds, encoded from the first refresh on
         self.round = 0
         self.roster: tuple[int, ...] = ()
         self.signed_digest: bytes | None = None
@@ -277,12 +278,12 @@ class Agent:
     def _on_funding(self, tx: Contribution) -> list[AgentAction]:
         # Only cross_validating and signing agents get here, after the window-end
         # seal, so every funding is a late full refund that never moves the root.
-        old = self.digest
-        encoding = self._encoding or auction.encode_settlement(self.tx)
-        self.tx, self._encoding = auction.append_full_refund(
-            self.tx, encoding, (tx.sender, tx.amount)
-        )
-        self.digest = hashlib.sha256(self._encoding).digest()
+        old, entry = self.digest, (tx.sender, tx.amount)
+        if self._full is None:
+            self._full = auction.encode_entries(bytearray(), self.tx.full_refunds)
+        self._full += auction.encode_entries(bytearray(), (entry,))
+        self.tx = replace(self.tx, full_refunds=self.tx.full_refunds + (entry,))
+        self.digest = auction.full_refund_digest(self._head, self._full)
         return [
             self._log(
                 "refresh",
@@ -408,8 +409,8 @@ class Agent:
         self.root = commitment.bid_list_root(ordered)
         self.tx = auction.build_settlement(self.auction_cfg, result)
         self.clearing_price, self.bid_count = result.clearing_price, len(ordered)
-        self.digest = wallet.settlement_digest(self.tx)
-        self._encoding = None
+        self.digest, self._head = auction.hash_settlement(self.tx)
+        self._full = None
 
     def _recheck(self) -> list[AgentAction]:
         """Conflict path: nothing to re-clear. Past the window-end seal only late

@@ -5,13 +5,15 @@ single aggregated bid. Bids are ranked by a strict total order
 (total desc, first funding height asc, first tx id asc, address asc) so
 two parties looking at the same chain always produce the same winner set,
 the same clearing price (the lowest winning total), and byte-identical
-settlement transactions.
+settlement transactions. A settlement's digest can be extended by late full
+refunds from a kept hash state, without encoding the settlement again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import (
@@ -60,6 +62,8 @@ class ClearingResult:
 
 
 _ONE_ITEM = encode_amount(1)  # every mint's item count on the wire
+_ENTRY_LEN = 36  # address (20) || amount (16)
+_NONCE = bytes(8)  # the settlement nonce, always 0
 
 
 @dataclass(frozen=True)
@@ -184,33 +188,46 @@ def encode_settlement(tx: SettlementTx) -> bytes:
     for tag, entries in ((0x02, tx.partial_refunds), (0x03, tx.full_refunds)):
         out.append(tag)
         out += struct.pack(">I", len(entries))
-        for addr, amount in entries:
-            if len(addr) != 20:
-                raise ValueError("entry address must be 20 bytes")
-            out += addr
-            if type(amount) is int and 0 <= amount < AMOUNT_LIMIT:
-                out += amount.to_bytes(16, "big")
-            else:
-                out += encode_amount(amount)  # raises what a bad amount raises
-    out += bytes(8)  # the nonce, always 0
+        encode_entries(out, entries)
+    out += _NONCE
     return bytes(out)
 
 
-def append_full_refund(
-    tx: SettlementTx, encoding: bytes, entry: tuple[bytes, int]
-) -> tuple[SettlementTx, bytes]:
-    """`tx` with `entry` appended to its full refunds, and that tx's encoding.
+def encode_entries(out: bytearray, entries) -> bytearray:
+    """Append each refund entry to `out` as `encode_settlement` lays it out,
+    checking its address and amount; returns `out`."""
+    for addr, amount in entries:
+        if len(addr) != 20:
+            raise ValueError("entry address must be 20 bytes")
+        out += addr
+        if type(amount) is int and 0 <= amount < AMOUNT_LIMIT:
+            out += amount.to_bytes(16, "big")
+        else:
+            out += encode_amount(amount)  # raises what a bad amount raises
+    return out
 
-    `encoding` must be `encode_settlement(tx)`. The full-refund section is
-    last before the nonce, so the new bytes are a splice: the section's
-    count goes up by one and the entry goes in before the nonce.
+
+def hash_settlement(tx: SettlementTx):
+    """The SHA-256 digest of `encode_settlement(tx)`, and a copy of the hash
+    state taken just before section 3's entry count.
+
+    The full-refund section is last before the nonce, so appending a full
+    refund leaves every byte before its count in place: `full_refund_digest`
+    resumes from the state instead of hashing those bytes again.
     """
-    addr, amount = entry
-    if len(addr) != 20:
-        raise ValueError("entry address must be 20 bytes")
-    n = len(tx.full_refunds)
-    at = len(encoding) - 8 - 36 * n - 4  # section 3's entry count
-    spliced = b"".join((encoding[:at], struct.pack(">I", n + 1), encoding[at + 4 : -8],
-                        addr, encode_amount(amount), encoding[-8:]))
-    return replace(tx, full_refunds=tx.full_refunds + (entry,)), spliced
+    encoding = memoryview(encode_settlement(tx))
+    at = len(encoding) - len(_NONCE) - _ENTRY_LEN * len(tx.full_refunds) - 4
+    h = hashlib.sha256(encoding[:at])
+    head = h.copy()
+    h.update(encoding[at:])
+    return h.digest(), head
 
+
+def full_refund_digest(head, full: bytes | bytearray) -> bytes:
+    """The settlement digest from `head`, a state of `hash_settlement`, when
+    section 3 holds the entries `full`, encoded by `encode_entries`."""
+    h = head.copy()
+    h.update(struct.pack(">I", len(full) // _ENTRY_LEN))
+    h.update(full)
+    h.update(_NONCE)
+    return h.digest()

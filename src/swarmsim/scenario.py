@@ -312,20 +312,38 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     ):
         problems.append('bidders: must be an object with exactly one of "explicit"/"generator"')
     elif "explicit" in src:
-        for path, b in _get_objs(
-            src, "explicit", "bidders.explicit", problems, {"address", "amount", "height"}
-        ):
-            addr = b.get("address")
-            if not isinstance(addr, str) or not re.fullmatch("[0-9a-fA-F]{40}", addr):
-                problems.append(f"{path}.address: must be 40 hex chars")
+        # The hot loop of a large explicit population: an entry's path is built
+        # only for a problem to name, and a plain int amount or height skips
+        # its general reader, which would accept it unchanged.
+        items = src["explicit"]
+        if not isinstance(items, list):
+            problems.append("bidders.explicit: must be a list")
+            items = []
+        keys = {"address", "amount", "height"}
+        hex_address = re.compile("[0-9a-fA-F]{40}").fullmatch
+        new = tuple.__new__
+        for i, b in enumerate(items):
+            if not isinstance(b, dict):
+                problems.append(f"bidders.explicit[{i}]: must be an object")
                 continue
-            amount = _parse_amount(b.get("amount"), f"{path}.amount", problems)
-            height = _get_int(b, "height", path, problems, lo=0)
+            if not b.keys() <= keys:
+                _check_keys(b, f"bidders.explicit[{i}].", keys, problems)
+            addr = b.get("address")
+            if not isinstance(addr, str) or not hex_address(addr):
+                problems.append(f"bidders.explicit[{i}].address: must be 40 hex chars")
+                continue
+            amount = b.get("amount")
+            if type(amount) is not int or not 1 <= amount <= MAX_SINGLE_AMOUNT:
+                amount = _parse_amount(amount, f"bidders.explicit[{i}].amount", problems)
+            height = b.get("height")
+            if type(height) is not int or height < 0:
+                height = _get_int(b, "height", f"bidders.explicit[{i}]", problems, lo=0)
             if height > height_cap:
                 problems.append(
-                    f"{path}.height: must be <= window.end + net.delay_min ({height_cap})"
+                    f"bidders.explicit[{i}].height: must be <= window.end + net.delay_min"
+                    f" ({height_cap})"
                 )
-            bidders.append(BidderEntry(bytes.fromhex(addr), amount, height))
+            bidders.append(new(BidderEntry, (bytes.fromhex(addr), amount, height)))
     else:
         # a rejected generator object still reports the fields it lacks
         gen = _get_obj(

@@ -102,17 +102,17 @@ def stream_to(fh, header: dict) -> Callable[[str], None]:
 
 
 def load_lines(path: str):
-    """Yield each line exactly as stored, the header line first, less its "\n",
-    one read at a time; closing the generator closes the file. Only "\n" ends
-    a line, so a "\r" stays in its line. Raises ValueError when the file is
-    empty or a line is not UTF-8."""
+    """Yield each line exactly as stored, the header line first, with its "\n"
+    if it has one, one read at a time; closing the generator closes the file.
+    Only "\n" ends a line, so a "\r" stays in its line, and only the last line
+    can lack its "\n". Raises ValueError when the file is empty or a line is
+    not UTF-8."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         first = fh.readline()
         if not first:
             raise ValueError("empty transcript file")
-        yield first.removesuffix("\n")
-        for line in fh:
-            yield line.removesuffix("\n")
+        yield first
+        yield from fh
 
 
 def hash_body_lines(body_lines: list[str]) -> bytes:

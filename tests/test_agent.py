@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from swarmsim.auction import AuctionConfig
 from swarmsim.consensus import Ack, AbortMsg, Envelope, Nack, Propose, RoundConfig
 from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
+    AMOUNT_LIMIT,
     BLOCK_SEALED,
     FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
@@ -477,6 +480,56 @@ def test_the_window_end_seal_releases_the_view_and_late_fundings_still_splice():
     assert agent.tx.full_refunds == tx.full_refunds + ((C, 9),)
     assert agent.digest == wallet.settlement_digest(agent.tx) != digest
     assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
+
+
+@pytest.mark.parametrize(
+    "sender, amount", [(C, -1), (C, True), (C, 1.5), (C, AMOUNT_LIMIT), (C[:19], 9)]
+)
+def test_a_bad_late_funding_raises_what_encode_settlement_raises(sender, amount):
+    # the splice checks a late full refund with encode_settlement's own
+    # per-entry code, and raises before the agent's state moves
+    agents, _, _, cfg, _ = ready_world()
+    agent = agents[1]
+    cleared = cleared_state(agent)
+    grown = dataclasses.replace(agent.tx, full_refunds=agent.tx.full_refunds + ((sender, amount),))
+    with pytest.raises(Exception) as expected:
+        auction.encode_settlement(grown)
+    bad = Contribution(sender=sender, amount=amount, block_height=3, tx_id=b"\x76" * 32)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 0, bad), 8)
+    assert cleared_state(agent) == cleared
+    late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
+    agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 1, late), 8)
+    assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
+
+
+@pytest.mark.parametrize("late_fundings", [0, 1, 4])
+def test_an_agent_holds_nothing_as_large_as_its_settlement_encoding(late_fundings):
+    # the agent hashes its encoding at clearing and keeps only a hash state;
+    # a late funding splices into that state and the encoded full refunds,
+    # so no copy of the encoding outlives the handler that made it
+    agents, _, _, _ = make_world(n_items=40)
+    exchange_attestations(agents)
+    agent = agents[1]
+    led = new_ledger()
+    for i in range(120):
+        led.submit_funding(i.to_bytes(2, "big") * 10, 1000 + i, 1 + i % 2)
+    while led.next_height < 3:
+        led.seal_block()
+    for i in range(late_fundings):
+        led.submit_funding(C, 5 + i, 3 + i)
+        led.seal_block()
+    events = list(led.events)
+    tracemalloc.start()
+    try:
+        for ev in events:
+            agent.on_ledger_event(ev, 0)
+        held = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert agent.phase == PHASE_CROSS_VALIDATING
+    assert len(agent.tx.full_refunds) == 80 + late_fundings
+    assert held < len(auction.encode_settlement(agent.tx))
 
 
 def test_signing_guard_refuses_second_digest():

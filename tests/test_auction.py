@@ -12,13 +12,16 @@ from swarmsim.auction import (
     DuplicateBidder,
     SettlementTx,
     aggregate,
-    append_full_refund,
     build_settlement,
     canonical_sort,
     compute_clearing,
+    encode_entries,
     encode_settlement,
+    full_refund_digest,
+    hash_settlement,
 )
 from swarmsim.ledger import AMOUNT_LIMIT, ArithmeticOverflow, Contribution, FundingWindow
+from swarmsim.wallet import settlement_digest
 
 A = b"\xaa" * 20
 B = b"\xbb" * 20
@@ -242,6 +245,20 @@ entries = st.lists(
 ).map(tuple)
 
 
+def append_full_refunds(tx, entries):
+    """The digest after each of `entries` is appended to tx's full refunds, as a
+    late funding appends one: from the hash state `hash_settlement` kept, over
+    the full refunds encoded once and grown one entry at a time."""
+    digest, head = hash_settlement(tx)
+    assert digest == settlement_digest(tx)
+    full = encode_entries(bytearray(), tx.full_refunds)
+    digests = []
+    for entry in entries:
+        full += encode_entries(bytearray(), (entry,))
+        digests.append(full_refund_digest(head, full))
+    return digests
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     auction_id=st.binary(min_size=32, max_size=32),
@@ -257,18 +274,19 @@ def test_append_full_refund_matches_a_fresh_encoding(auction_id, mints, partial,
         partial_refunds=partial,
         full_refunds=full,
     )
-    new_tx, encoding = append_full_refund(tx, encode_settlement(tx), entry)
-    assert new_tx == SettlementTx(auction_id, tx.mints, partial, full + (entry,))
-    assert encoding == encode_settlement(new_tx)
+    grown = SettlementTx(auction_id, tx.mints, partial, full + (entry,))
+    assert append_full_refunds(tx, [entry]) == [settlement_digest(grown)]
 
 
 def test_append_full_refund_chains():
     tx = build_settlement(cfg(1), clear(1, [contrib(A, 9, 1, 1), contrib(B, 4, 1, 2)]))
-    encoding = encode_settlement(tx)
-    for entry in ((C, 3), (D, 1 << 100), (A, 1)):
-        tx, encoding = append_full_refund(tx, encoding, entry)
-    assert tx.full_refunds == ((B, 4), (C, 3), (D, 1 << 100), (A, 1))
-    assert encoding == encode_settlement(tx)
+    added = ((C, 3), (D, 1 << 100), (A, 1))
+    grown = [
+        SettlementTx(tx.auction_id, tx.mints, tx.partial_refunds, tx.full_refunds + added[:k])
+        for k in (1, 2, 3)
+    ]
+    assert grown[-1].full_refunds == ((B, 4), (C, 3), (D, 1 << 100), (A, 1))
+    assert append_full_refunds(tx, added) == [settlement_digest(g) for g in grown]
 
 
 @pytest.mark.parametrize(
@@ -285,7 +303,7 @@ def test_append_full_refund_checks_the_entry_like_encode_settlement(entry, exc):
     with pytest.raises(exc):
         encode_settlement(SettlementTx(tx.auction_id, (), (), (entry,)))
     with pytest.raises(exc):
-        append_full_refund(tx, encode_settlement(tx), entry)
+        append_full_refunds(tx, [entry])
 
 
 amounts_strategy = st.lists(

@@ -526,6 +526,20 @@ def test_verify_rejects_truncated_transcript(tmp_path):
     assert result.got == "<missing line>"
 
 
+def test_verify_rejects_a_last_line_without_its_newline(tmp_path):
+    # `run` ends every line with "\n"; the cut line's text equals its replay,
+    # so the report notes what is missing
+    spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
+    tr, _ = run_scenario(spath.as_posix())
+    tpath = tmp_path / "t.jsonl"
+    tpath.write_text(tr.text().removesuffix("\n"), encoding="utf-8")
+    result = verify_transcript(tpath.as_posix(), spath.as_posix())
+    assert not result.accepted and result.reason == "divergence"
+    assert result.line_number == len(tr.lines) + 1
+    assert result.expected == tr.lines[-1]
+    assert result.got == tr.lines[-1] + "<no final newline>"
+
+
 def test_verify_rejects_an_extra_line_reading_missing_line(tmp_path):
     spath = write_scenario(tmp_path, build_scenario_dict(seed=21))
     tr, _ = run_scenario(spath.as_posix())

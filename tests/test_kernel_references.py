@@ -26,9 +26,9 @@ from swarmsim.auction import (
     DuplicateBidder,
     SettlementTx,
     aggregate,
-    append_full_refund,
     build_settlement,
     compute_clearing,
+    encode_entries,
     encode_settlement,
 )
 from swarmsim.commitment import _levels, bid_list_root, encode_bid_leaf, leaf_hash, merkle_root
@@ -271,11 +271,11 @@ def test_encode_settlement_raises_what_the_reference_raises(amount, section):
 
 @pytest.mark.parametrize("amount", BAD_AMOUNTS)
 def test_append_full_refund_raises_what_the_reference_raises(amount):
-    tx = SettlementTx(auction_id=AUCTION_ID, mints=(), partial_refunds=(), full_refunds=())
-    bad = SettlementTx(AUCTION_ID, (), (), ((b"\xaa" * 20, amount),))
-    assert raised(append_full_refund, tx, encode_settlement(tx), (b"\xaa" * 20, amount)) == (
-        raised(reference_encode_settlement, bad)
-    )
+    # a late funding's full refund is encoded and checked by `encode_entries`
+    # alone before the agent splices it into its kept hash state
+    entry = (b"\xaa" * 20, amount)
+    bad = SettlementTx(AUCTION_ID, (), (), (entry,))
+    assert raised(encode_entries, bytearray(), (entry,)) == raised(reference_encode_settlement, bad)
 
 
 # -- exception parity on malformed bids --------------------------------------------

@@ -19,6 +19,7 @@ from swarmsim import cli
 from swarmsim.netsim import FAULT_KINDS
 from swarmsim.scenario import (
     MAX_SINGLE_AMOUNT,
+    BidderEntry,
     InvalidScenario,
     build_scenario_dict,
     load_scenario,
@@ -327,6 +328,59 @@ def test_run_names_a_misspelt_nested_key(tmp_path, capsys):
     path.write_text(json.dumps(edited(GENERATED, {"net.drop_rat": 0.5})), encoding="utf-8")
     assert cli.main(["run", path.as_posix()]) == 1
     assert capsys.readouterr().err == "invalid scenario: net.drop_rat: unknown field\n"
+
+
+# Each problem an explicit bidder entry can have, with the entry's other
+# fields valid; an entry names its own index, and a bad address ends the
+# entry's checks.
+ENTRY = "bidders.explicit.1"
+EXPLICIT_ENTRIES = [
+    ("unknown_key_then_fields", {f"{ENTRY}.x": 1, f"{ENTRY}.amount": 0},
+     ["bidders.explicit[1].x: unknown field",
+      "bidders.explicit[1].amount: amount must be in [1, 2^100]"]),
+    ("unknown_keys_in_entry_order", {ENTRY: {"b": 1, "address": "bb" * 20, "a": 2,
+                                             "amount": 7, "height": 2}},
+     ["bidders.explicit[1].b: unknown field", "bidders.explicit[1].a: unknown field"]),
+    ("unknown_key_then_address", {f"{ENTRY}.x": 1, f"{ENTRY}.address": "b"},
+     ["bidders.explicit[1].x: unknown field",
+      "bidders.explicit[1].address: must be 40 hex chars"]),
+    ("height_missing", {f"{ENTRY}.height": DELETE}, ["bidders.explicit[1].height: required"]),
+    ("height_bool", {f"{ENTRY}.height": True},
+     ["bidders.explicit[1].height: must be an integer"]),
+    ("height_float", {f"{ENTRY}.height": 2.0},
+     ["bidders.explicit[1].height: must be an integer"]),
+    ("height_negative_and_amount_bool", {f"{ENTRY}.height": -3, f"{ENTRY}.amount": False},
+     ["bidders.explicit[1].amount: amount must be an integer or decimal string",
+      "bidders.explicit[1].height: must be >= 0"]),
+    ("address_with_a_space", {f"{ENTRY}.address": "bb" * 19 + "b "},
+     ["bidders.explicit[1].address: must be 40 hex chars"]),
+    ("address_with_a_non_ascii_digit", {f"{ENTRY}.address": "bb" * 19 + "b٣"},
+     ["bidders.explicit[1].address: must be 40 hex chars"]),
+    ("address_missing", {f"{ENTRY}.address": DELETE},
+     ["bidders.explicit[1].address: must be 40 hex chars"]),
+    ("address_not_a_string", {f"{ENTRY}.address": 7},
+     ["bidders.explicit[1].address: must be 40 hex chars"]),
+    ("bad_address_skips_the_other_fields", {f"{ENTRY}.address": "b" * 41,
+                                            f"{ENTRY}.amount": 0, f"{ENTRY}.height": 9},
+     ["bidders.explicit[1].address: must be 40 hex chars"]),
+    ("two_entries_in_order", {"bidders.explicit.0.height": None, f"{ENTRY}.amount": "x"},
+     ["bidders.explicit[0].height: must be an integer",
+      "bidders.explicit[1].amount: amount string must be decimal digits"]),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, expected", [c[1:] for c in EXPLICIT_ENTRIES], ids=[c[0] for c in EXPLICIT_ENTRIES]
+)
+def test_explicit_entry_diagnostics(edits, expected):
+    assert problems_of(edited(EXPLICIT, edits)) == expected
+
+
+def test_explicit_entries_read_as_bidder_entries():
+    data = edited(EXPLICIT, {"bidders.explicit.0.address": "aB" * 20})
+    bidders = parse_scenario(data, b"").bidders
+    assert bidders == (BidderEntry(b"\xab" * 20, 5, 1), BidderEntry(b"\xbb" * 20, 7, 2))
+    assert all(type(b) is BidderEntry for b in bidders)
 
 
 def test_top_level_must_be_object():
