@@ -338,8 +338,11 @@ class Agent:
             actions += self._recheck()
             return actions
         if p.settlement_digest != self.digest:
-            # Matching roots with diverging digests cannot happen between
-            # honest agents that share a complete view; shout about it.
+            # Matching roots with diverging digests: between honest agents, a
+            # funding past the window end reached this agent, which spliced it
+            # in as a full refund, after the proposer cleared and proposed
+            # (ROADMAP item 1, one close height, removes that case).
+            # Otherwise the settlement was tampered with. Shout about it.
             actions = [
                 self._log(
                     "digest_mismatch",

@@ -7,11 +7,12 @@ timer fires. Ledger events are pushed to every agent synchronously and in
 total order, so two honest agents always hold identical views.
 
 Faults are wrappers around the unmodified honest state machine: they crash
-it, mute it, feed it a perturbed ledger view, or tamper with its outgoing
-proposals and published attestation. Each fault kind overrides one hook of
-a shared base, `_up` (is the agent running?) or `_filter` (rewrite its
-actions), or one handler. Honest agents' code is never touched, which keeps
-the safety claims about the honest machine auditable.
+it, mute it, bump one funding in its own ledger view before it clears, or
+tamper with its outgoing proposals and published attestation. Each fault
+kind overrides one hook of a shared base, `_up` (is the agent running?) or
+`_filter` (rewrite its actions), or one handler, and holds no state beyond
+the agent it wraps and its spec. Honest agents' code is never touched,
+which keeps the safety claims about the honest machine auditable.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .ledger import (
     AlreadySettled,
     BadSignatureBundle,
     Ledger,
-    LedgerEvent,
 )
 from .transcript import Transcript, canonical_json
 
@@ -49,14 +49,6 @@ FAULT_SILENT = "silent"
 FAULT_WRONG_ROOT = "wrong_root"
 FAULT_EQUIVOCATE = "equivocate"
 FAULT_BAD_ATTESTATION = "bad_attestation"
-
-FAULT_KINDS = (
-    FAULT_CRASH,
-    FAULT_SILENT,
-    FAULT_WRONG_ROOT,
-    FAULT_EQUIVOCATE,
-    FAULT_BAD_ATTESTATION,
-)
 
 
 @dataclass(frozen=True)
@@ -155,44 +147,24 @@ class SilentFault(_Fault):
 
 
 class WrongRootFault(_Fault):
-    """Feeds the honest machine a ledger view with one in-window amount +1.
+    """Clears the honest machine over its own view with one in-window amount +1.
 
-    Events are buffered until the funding window seals, the victim
-    contribution (perturb_seed mod count) is bumped, and the whole stream
-    is replayed into the unmodified agent. Two agents sharing a
-    perturb_seed derive identical wrong roots and will validate each other.
+    Each ledger event goes straight through. At the window-end seal, before
+    the agent clears, the victim among the in-window fundings of its view
+    (perturb_seed mod their count) is bumped in place. Two agents whose seeds
+    agree mod that count derive identical wrong roots and will validate each
+    other.
     """
 
-    def __init__(self, inner: Agent, spec: FaultSpec):
-        super().__init__(inner, spec)
-        self._buffer: list[LedgerEvent] = []
-        self._released = False
-
     def on_ledger_event(self, ev, now):
-        if self._released:
-            return self.inner.on_ledger_event(ev, now)
         window = self.inner.auction_cfg.window
         if ev.kind == BLOCK_SEALED and ev.height == window.end_height:
-            events = self._buffer + [ev]
-            in_window = [
-                i
-                for i, e in enumerate(events)
-                if e.kind == FUNDING_RECEIVED and window.contains(e.height)
-            ]
+            view = self.inner.view  # held until the agent clears at this seal
+            in_window = [i for i, tx in enumerate(view) if window.contains(tx.block_height)]
             if in_window:
                 victim = in_window[self.spec.perturb_seed % len(in_window)]
-                tx = events[victim].payload
-                events[victim] = events[victim]._replace(
-                    payload=tx._replace(amount=tx.amount + 1)
-                )
-            self._released = True
-            self._buffer = []
-            actions = []
-            for e in events:
-                actions.extend(self.inner.on_ledger_event(e, now))
-            return actions
-        self._buffer.append(ev)
-        return []
+                view[victim] = view[victim]._replace(amount=view[victim].amount + 1)
+        return super().on_ledger_event(ev, now)
 
 
 class EquivocateFault(_Fault):
@@ -232,6 +204,7 @@ _FAULT_CLASSES = {
     FAULT_EQUIVOCATE: EquivocateFault,
     FAULT_BAD_ATTESTATION: BadAttestationFault,
 }
+FAULT_KINDS = tuple(_FAULT_CLASSES)  # its order is pinned: tests/test_corpus.py draws from it
 
 
 def apply_fault(agent: Agent, fault: FaultSpec):

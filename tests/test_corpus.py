@@ -16,10 +16,18 @@ A deliberate change to transcript bytes or outcomes re-records the pins:
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from swarmsim.agent import (
+    PHASE_COMPUTING,
+    PHASE_CROSS_VALIDATING,
+    PHASE_DONE,
+    PHASE_MONITORING,
+    PHASE_SIGNING,
+)
 from swarmsim.harness import run_scenario_dict
 from swarmsim.netsim import FAULT_CRASH, FAULT_KINDS, FAULT_WRONG_ROOT
 from swarmsim.scenario import MAX_SINGLE_AMOUNT
@@ -82,9 +90,9 @@ def corpus_scenario(index: int) -> dict:
     }
 
 
-def corpus_entry(data: dict) -> dict:
+def corpus_entry(data: dict, consume=lambda line: None) -> dict:
     try:
-        _, report = run_scenario_dict(data, sink=lambda header: lambda line: None)
+        _, report = run_scenario_dict(data, sink=lambda header: consume)
     except Exception as exc:  # a valid scenario that raises is pinned by class name
         return {"raises": type(exc).__name__}
     return {
@@ -98,10 +106,26 @@ def corpus_entries() -> list[dict]:
     return [corpus_entry(corpus_scenario(i)) for i in range(CORPUS_SIZE)]
 
 
+@pytest.fixture(scope="module")
+def corpus_runs() -> list[tuple[dict, dict, list[dict]]]:
+    """Each corpus scenario, its entry and its agents' phase and abort lines,
+    from one run, so every test below reads the same 600 runs."""
+    runs = []
+    for i in range(CORPUS_SIZE):
+        data, logs = corpus_scenario(i), []
+
+        def keep(line, logs=logs):
+            if '"event":"phase"' in line or '"event":"abort"' in line:
+                logs.append(json.loads(line))
+
+        runs.append((data, corpus_entry(data, keep), logs))
+    return runs
+
+
 @pytest.mark.golden_matrix
-def test_every_corpus_run_matches_its_pin():
+def test_every_corpus_run_matches_its_pin(corpus_runs):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
-    entries = corpus_entries()
+    entries = [entry for _, entry, _ in corpus_runs]
     moved = [i for i, (got, pin) in enumerate(zip(entries, pinned)) if got != pin]
     assert len(pinned) == CORPUS_SIZE
     assert moved == [], f"{len(moved)} runs moved, first {moved[0]}: {entries[moved[0]]}"
@@ -117,6 +141,54 @@ def test_the_corpus_covers_every_outcome_and_the_known_crash():
     crashed = [i for i, entry in enumerate(pinned) if "raises" in entry]
     assert all(corpus_scenario(i)["agents"]["m"] == 1 for i in crashed)
     assert all(entry.get("conservation_ok", True) for entry in pinned)
+
+
+# The agent's phase relation: any phase may end in an abort, which writes an
+# `abort` line, not a `phase` line; these are the only moves a `phase` line shows.
+PHASE_MOVES = {
+    (PHASE_MONITORING, PHASE_COMPUTING),
+    (PHASE_COMPUTING, PHASE_CROSS_VALIDATING),
+    (PHASE_CROSS_VALIDATING, PHASE_COMPUTING),
+    (PHASE_CROSS_VALIDATING, PHASE_SIGNING),
+    (PHASE_CROSS_VALIDATING, PHASE_DONE),
+    (PHASE_SIGNING, PHASE_DONE),
+}
+
+
+def test_every_corpus_run_moves_its_agents_only_along_the_phase_relation(corpus_runs):
+    """Every line a run wrote counts, also those before a run raised."""
+    seen, aborts = set(), 0
+    for i, (_, _, logs) in enumerate(corpus_runs):
+        aborted = set()
+        for log in logs:
+            if log["event"] == "abort":
+                aborted.add(log["agent"])
+                aborts += 1
+                continue
+            assert log["agent"] not in aborted, f"run {i}: agent {log['agent']} moved after its abort"
+            move = (log["detail"]["from"], log["phase"])
+            assert move in PHASE_MOVES, f"run {i}: agent {log['agent']} moved {move}"
+            seen.add(move)
+    assert seen == PHASE_MOVES  # the corpus reaches every move
+    assert aborts
+
+
+def test_every_fraudulent_corpus_run_has_m_wrong_roots_that_share_a_victim(corpus_runs):
+    """Fraud needs m agents that share a corrupted view: a `wrong_root` agent
+    bumps the in-window funding at `perturb_seed mod k`, where k counts the
+    in-window fundings, so different seeds can share a victim."""
+    frauds = 0
+    for i, (data, entry, _) in enumerate(corpus_runs):
+        if entry.get("outcome") != "SETTLED_FRAUDULENT":
+            continue
+        frauds += 1
+        window = data["auction"]["window"]
+        k = sum(window["start"] <= b["height"] <= window["end"] for b in data["bidders"]["explicit"])
+        victims = Counter(
+            f["perturb_seed"] % k for f in data["agents"]["faults"] if k and f["kind"] == FAULT_WRONG_ROOT
+        )
+        assert max(victims.values(), default=0) >= data["agents"]["m"], f"run {i}: {victims}"
+    assert frauds
 
 
 if __name__ == "__main__":

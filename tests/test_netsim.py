@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmsim import auction, harness, wallet
+from swarmsim import auction, harness, netsim, wallet
 from swarmsim.agent import Log, SendPeer, SetTimer
 from swarmsim.consensus import Envelope, Propose
 from swarmsim.ledger import (
@@ -20,10 +20,20 @@ from swarmsim.ledger import (
     LedgerEvent,
     SettlementReceipt,
 )
-from swarmsim.netsim import NetConfig, Partition, Simulation
+from swarmsim.netsim import (
+    FAULT_CRASH,
+    FAULT_KINDS,
+    FAULT_WRONG_ROOT,
+    FaultSpec,
+    NetConfig,
+    Partition,
+    Simulation,
+    apply_fault,
+)
 from swarmsim.scenario import build_scenario_dict
 from swarmsim.transcript import Transcript
 from swarmsim.wallet import MultisigPolicy
+from test_agent import deliver_ledger, exchange_attestations, funded_ledger, make_world
 from test_consensus import ANY_MESSAGE, body_object, dumps
 
 # The policy of a ledger that only grows a chain: no test here settles on it.
@@ -374,6 +384,39 @@ def test_colluders_with_different_perturbations_disagree():
         )
     )
     assert rep.outcome in ("SETTLED_CORRECT", "ABORTED")
+
+
+def test_wrong_roots_whose_seeds_agree_mod_k_clear_the_same_root():
+    # funded_ledger seals k = 3 in-window fundings: seeds 1 and 4 both bump
+    # the second, seed 2 the third, and the honest agent none.
+    agents = make_world(n=4)[0]
+    world = [
+        apply_fault(a, FaultSpec(a.index, FAULT_WRONG_ROOT, perturb_seed=seed))
+        for a, seed in zip(agents, (1, 4, 2))
+    ] + agents[3:]
+    exchange_attestations(world)
+    deliver_ledger(world, funded_ledger())
+    roots = [a.root for a in world]
+    assert roots[0] == roots[1]
+    assert len(set(roots[1:])) == 3
+
+
+def test_every_fault_holds_only_its_agent_and_spec(monkeypatch):
+    wrappers = []
+
+    def recording(agent, fault):
+        wrappers.append(apply_fault(agent, fault))
+        return wrappers[-1]
+
+    monkeypatch.setattr(netsim, "apply_fault", recording)
+    faults = [
+        {"agent_index": i, "kind": kind, **({"at_time": 12} if kind == FAULT_CRASH else {})}
+        for i, kind in enumerate(FAULT_KINDS)
+    ]
+    run(with_faults(scenario(seed=3, agents=7, threshold=2), *faults))
+    assert [w.spec.kind for w in wrappers] == list(FAULT_KINDS)
+    for w in wrappers:
+        assert vars(w).keys() == {"inner", "spec"}, type(w).__name__
 
 
 def test_equivocator_shows_different_roots_per_recipient():
