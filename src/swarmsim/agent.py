@@ -338,11 +338,11 @@ class Agent:
             actions += self._recheck()
             return actions
         if p.settlement_digest != self.digest:
-            # Matching roots with diverging digests: between honest agents, a
-            # funding past the window end reached this agent, which spliced it
-            # in as a full refund, after the proposer cleared and proposed
-            # (ROADMAP item 1, one close height, removes that case).
-            # Otherwise the settlement was tampered with. Shout about it.
+            # Matching roots with diverging digests. Between honest agents, a
+            # funding past the window end reached this agent after the
+            # proposer had cleared and proposed, and this agent spliced it in
+            # as a full refund (ROADMAP item 1, one close height, removes
+            # that case). Otherwise the settlement was tampered with. Shout.
             actions = [
                 self._log(
                     "digest_mismatch",
