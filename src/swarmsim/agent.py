@@ -407,11 +407,10 @@ class Agent:
     def _recompute(self) -> None:
         bids, outside = auction.aggregate(self.view, self.auction_cfg.window)
         self.view = None  # its last reader: late fundings splice into tx instead
-        result = auction.compute_clearing(self.auction_cfg, bids, outside)
-        ordered = result.winners + result.losers
-        self.root = commitment.bid_list_root(ordered)
-        self.tx = auction.build_settlement(self.auction_cfg, result)
-        self.clearing_price, self.bid_count = result.clearing_price, len(ordered)
+        ranked, self.clearing_price = auction.compute_clearing(self.auction_cfg, bids)
+        self.root = commitment.bid_list_root(ranked)
+        self.tx = auction.build_settlement(self.auction_cfg, ranked, self.clearing_price, outside)
+        self.bid_count = len(ranked)
         self.digest, self._head = auction.hash_settlement(self.tx)
         self._full = None
 

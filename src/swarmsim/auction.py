@@ -53,14 +53,6 @@ class AggregatedBid(NamedTuple):
         return (-self.total, self.first_height, self.first_tx, self.bidder)
 
 
-@dataclass(frozen=True)
-class ClearingResult:
-    clearing_price: int
-    winners: tuple[AggregatedBid, ...]
-    losers: tuple[AggregatedBid, ...]
-    late_contributions: tuple[Contribution, ...]
-
-
 _ONE_ITEM = encode_amount(1)  # every mint's item count on the wire
 _ENTRY_LEN = 36  # address (20) || amount (16)
 _NONCE = bytes(8)  # the settlement nonce, always 0
@@ -121,47 +113,38 @@ def canonical_sort(bids: list[AggregatedBid]) -> list[AggregatedBid]:
 
 
 def compute_clearing(
-    cfg: AuctionConfig,
-    bids: list[AggregatedBid],
-    late: list[Contribution],
-) -> ClearingResult:
-    """Rank bids and cut at n_items; the last winner's total is the price.
+    cfg: AuctionConfig, bids: list[AggregatedBid]
+) -> tuple[list[AggregatedBid], int]:
+    """Rank `bids` canonically; returns the ranking and the clearing price.
 
-    Undersubscribed sales clear at the lowest winning total; an empty sale
-    clears at 0.
+    The first `n_items` of the ranking win, and the last of them sets the
+    price: undersubscribed sales clear at the lowest winning total, and an
+    empty sale clears at 0.
     """
-    ordered = canonical_sort(bids)
-    winners = tuple(ordered[: cfg.n_items])
-    losers = tuple(ordered[cfg.n_items :])
-    price = winners[-1].total if winners else 0
-    return ClearingResult(
-        clearing_price=price,
-        winners=winners,
-        losers=losers,
-        late_contributions=tuple(late),
-    )
+    ranked = canonical_sort(bids)
+    return ranked, ranked[min(cfg.n_items, len(ranked)) - 1].total if ranked else 0
 
 
-def build_settlement(cfg: AuctionConfig, result: ClearingResult) -> SettlementTx:
+def build_settlement(
+    cfg: AuctionConfig, ranked: list[AggregatedBid], price: int, late: list[Contribution]
+) -> SettlementTx:
     """Assemble the single on-chain batch: mints, overpayment refunds, full refunds.
 
-    Zero-amount partial refunds are omitted. Full refunds list each loser's
-    total (canonical order) followed by one entry per out-of-window
-    contribution in ledger order, so the whole funding inflow is accounted
-    for: inflow = price * |winners| + all refunds.
+    `ranked` and `price` are what `compute_clearing` returns: its first
+    `n_items` bids win at `price` and the rest lose. Zero-amount partial
+    refunds are omitted. Full refunds list each loser's total (canonical
+    order) followed by one entry per `late` (out-of-window) contribution in
+    ledger order, so the whole funding inflow is accounted for:
+    inflow = price * |winners| + all refunds.
     """
-    price = result.clearing_price
-    mints = tuple([w.bidder for w in result.winners])
-    partial = tuple([(w.bidder, w.total - price) for w in result.winners if w.total > price])
-    full = tuple(
-        [(l.bidder, l.total) for l in result.losers]
-        + [(c.sender, c.amount) for c in result.late_contributions]
-    )
+    winners, losers = ranked[: cfg.n_items], ranked[cfg.n_items :]
     return SettlementTx(
         auction_id=cfg.auction_id,
-        mints=mints,
-        partial_refunds=partial,
-        full_refunds=full,
+        mints=tuple([w.bidder for w in winners]),
+        partial_refunds=tuple([(w.bidder, w.total - price) for w in winners if w.total > price]),
+        full_refunds=tuple(
+            [(l.bidder, l.total) for l in losers] + [(c.sender, c.amount) for c in late]
+        ),
     )
 
 

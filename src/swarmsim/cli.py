@@ -109,10 +109,12 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
-    # opened before the run, so an unwritable path fails at once
-    out = _replace_on_success(args.transcript) if args.transcript else contextlib.nullcontext()
+    # opened before the run, so an unwritable path fails at once; without a
+    # path the body still streams, to a file that keeps nothing
+    path = args.transcript
+    out = _replace_on_success(path) if path else open(os.devnull, "w", encoding="utf-8")
     with out as fh:
-        sink = None if fh is None else functools.partial(transcript.stream_to, fh)
+        sink = functools.partial(transcript.stream_to, fh)
         report = harness.run_scenario_dict(data, raw, sink)[1]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

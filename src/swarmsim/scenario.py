@@ -300,9 +300,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     timeout = _get_int(consensus, "round_timeout", "consensus", problems, lo=1, default=10)
     max_time = _get_int(data, "max_time", "scenario", problems, lo=1)
 
-    # Funding later than end + delay_min could land after consensus has begun
-    # and split honest agents' refund sets; the bound keeps every ack later
-    # than the last seal.
+    # The cap seals every late funding before any agent can ack: the earliest
+    # proposal leaves at the window-end seal and arrives delay_min later, after
+    # that tick's seal. Honest refund sets can still differ: the round-0
+    # proposal predates the late fundings (ROADMAP item 1).
     height_cap = end + delay_min
 
     bidders, sampler = [], None

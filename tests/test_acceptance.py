@@ -16,10 +16,9 @@ from swarmsim.auction import AuctionConfig
 from swarmsim.commitment import bid_list_root, encode_bid_leaf, merkle_root, prove, verify_inclusion
 from swarmsim.harness import oracle_from_contributions, run_scenario_dict
 from swarmsim.ledger import Contribution, FundingWindow
+from swarmsim.netsim import FAULT_KINDS
 from swarmsim.scenario import agent_signing_key, build_scenario_dict
 from swarmsim.wallet import MultisigPolicy, SignatureShare, verify_bundle, verifying_key_for
-
-FAULT_KINDS = ("crash", "silent", "wrong_root", "equivocate", "bad_attestation")
 
 
 def verdict(capsys, ok: bool, label: str) -> None:
@@ -129,8 +128,8 @@ def engine_settlement_bytes(auction_id, n_items, window, contribs):
         for s, a, h, t in contribs
     ]
     bids, late = auction.aggregate(view, window)
-    result = auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
-    return auction.encode_settlement(auction.build_settlement(cfg, result))
+    ranked, price = auction.compute_clearing(cfg, auction.canonical_sort(bids))
+    return auction.encode_settlement(auction.build_settlement(cfg, ranked, price, late))
 
 
 def test_criterion_2_oracle_equivalence(capsys):
@@ -172,10 +171,9 @@ def test_criterion_3_price_monotonicity(capsys):
         ]
 
         def price(contribs):
-            bids, late = auction.aggregate(contribs, window)
-            return auction.compute_clearing(
-                cfg, auction.canonical_sort(bids), late
-            ).clearing_price
+            bids, _ = auction.aggregate(contribs, window)
+            _, clearing_price = auction.compute_clearing(cfg, auction.canonical_sort(bids))
+            return clearing_price
 
         before = price(view)
         extra = Contribution(

@@ -183,8 +183,8 @@ def test_window_end_seal_enters_cross_validation_with_oracle_root():
     agent = agents[0]
     assert agent.phase == PHASE_CROSS_VALIDATING
     bids, late = auction.aggregate(fed_contributions(funded_ledger()), WINDOW)
-    result = auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
-    expected = commitment.bid_list_root(list(result.winners) + list(result.losers))
+    ranked, _ = auction.compute_clearing(cfg, auction.canonical_sort(bids))
+    expected = commitment.bid_list_root(ranked)
     assert agent.root == expected
     assert any(isinstance(a, SetTimer) for a in actions[0])
 
@@ -563,11 +563,10 @@ def cleared_state(agent):
 def fresh_clear(cfg, contributions):
     """The `cleared_state` of one clearing of `contributions`."""
     bids, late = auction.aggregate(contributions, cfg.window)
-    result = auction.compute_clearing(cfg, bids, late)
-    tx = auction.build_settlement(cfg, result)
-    root = commitment.bid_list_root(result.winners + result.losers)
-    bid_count = len(result.winners) + len(result.losers)
-    return (tx, wallet.settlement_digest(tx), root, result.clearing_price, bid_count)
+    ranked, price = auction.compute_clearing(cfg, bids)
+    tx = auction.build_settlement(cfg, ranked, price, late)
+    root = commitment.bid_list_root(ranked)
+    return (tx, wallet.settlement_digest(tx), root, price, len(ranked))
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,8 +45,13 @@ def cfg(n_items, auction_id=b"\x07" * 32, window=WINDOW):
 
 
 def clear(n_items, contribs, window=WINDOW):
+    """The ranking, the clearing price and the out-of-window contributions."""
     bids, late = aggregate(contribs, window)
-    return compute_clearing(cfg(n_items, window=window), canonical_sort(bids), late)
+    return *compute_clearing(cfg(n_items, window=window), canonical_sort(bids)), late
+
+
+def settle(n_items, contribs):
+    return build_settlement(cfg(n_items), *clear(n_items, contribs))
 
 
 def test_aggregate_sums_per_address():
@@ -119,7 +124,7 @@ def test_canonical_sort_rejects_duplicate_bidder():
 
 
 def test_clearing_price_is_lowest_winning_total():
-    result = clear(
+    ranked, price, _ = clear(
         3,
         [
             contrib(A, 5, 1, 1),
@@ -128,33 +133,33 @@ def test_clearing_price_is_lowest_winning_total():
             contrib(D, 2, 1, 4),
         ],
     )
-    assert [b.bidder for b in result.winners] == [C, A, B]
-    assert result.clearing_price == 3
-    assert [b.bidder for b in result.losers] == [D]
+    assert [b.bidder for b in ranked[:3]] == [C, A, B]
+    assert price == 3
+    assert [b.bidder for b in ranked[3:]] == [D]
 
 
 def test_clearing_undersubscribed():
-    result = clear(3, [contrib(A, 10, 1)])
-    assert [b.bidder for b in result.winners] == [A]
-    assert result.clearing_price == 10
-    assert result.losers == ()
+    ranked, price, _ = clear(3, [contrib(A, 10, 1)])
+    assert [b.bidder for b in ranked[:3]] == [A]
+    assert price == 10
+    assert ranked[3:] == []
 
 
 def test_clearing_tie_break_by_height():
-    result = clear(2, [contrib(A, 5, 1, 1), contrib(B, 5, 2, 2), contrib(C, 5, 2, 3)])
+    ranked, price, _ = clear(2, [contrib(A, 5, 1, 1), contrib(B, 5, 2, 2), contrib(C, 5, 2, 3)])
     # A first by height; B beats C on tx id at equal height
-    assert [b.bidder for b in result.winners] == [A, B]
-    assert result.clearing_price == 5
-    assert [b.bidder for b in result.losers] == [C]
+    assert [b.bidder for b in ranked[:2]] == [A, B]
+    assert price == 5
+    assert [b.bidder for b in ranked[2:]] == [C]
 
 
 def test_clearing_no_bids():
-    result = clear(3, [])
-    assert result.winners == () and result.clearing_price == 0
+    ranked, price, _ = clear(3, [])
+    assert ranked[:3] == [] and price == 0
 
 
 def test_build_settlement_refund_split():
-    result = clear(
+    ranked, price, late = clear(
         3,
         [
             contrib(A, 5, 1, 1),
@@ -163,34 +168,33 @@ def test_build_settlement_refund_split():
             contrib(D, 2, 1, 4),
         ],
     )
-    tx = build_settlement(cfg(3), result)
+    tx = build_settlement(cfg(3), ranked, price, late)
     assert tx.mints == (C, A, B)
     assert tx.partial_refunds == ((C, 4), (A, 2))
     assert tx.full_refunds == ((D, 2),)
     partial = sum(a for _, a in tx.partial_refunds)
     full = sum(a for _, a in tx.full_refunds)
-    retained = result.clearing_price * len(result.winners)
+    retained = price * len(ranked[:3])
     assert 17 == retained + partial + full  # inflow 17 = retained 9 + refunds 8
 
 
 def test_build_settlement_omits_zero_partial_refund():
-    tx = build_settlement(cfg(3), clear(3, [contrib(A, 10, 1)]))
+    tx = settle(3, [contrib(A, 10, 1)])
     assert tx.mints == (A,)
     assert tx.partial_refunds == ()
     assert tx.full_refunds == ()
 
 
 def test_build_settlement_empty():
-    tx = build_settlement(cfg(3), clear(3, []))
+    tx = settle(3, [])
     assert tx.mints == () and tx.partial_refunds == () and tx.full_refunds == ()
 
 
 def test_build_settlement_refunds_out_of_window_after_losers():
-    result = clear(
+    tx = settle(
         1,
         [contrib(A, 9, 1, 1), contrib(B, 4, 1, 2), contrib(C, 2, 0, 3), contrib(C, 3, 3, 4)],
     )
-    tx = build_settlement(cfg(1), result)
     # losers first (B), then out-of-window contributions in chain order
     assert tx.full_refunds == ((B, 4), (C, 2), (C, 3))
 
@@ -279,7 +283,7 @@ def test_append_full_refund_matches_a_fresh_encoding(auction_id, mints, partial,
 
 
 def test_append_full_refund_chains():
-    tx = build_settlement(cfg(1), clear(1, [contrib(A, 9, 1, 1), contrib(B, 4, 1, 2)]))
+    tx = settle(1, [contrib(A, 9, 1, 1), contrib(B, 4, 1, 2)])
     added = ((C, 3), (D, 1 << 100), (A, 1))
     grown = [
         SettlementTx(tx.auction_id, tx.mints, tx.partial_refunds, tx.full_refunds + added[:k])
@@ -317,11 +321,11 @@ def test_conservation_property(amounts, n_items):
     contribs = [
         contrib(bytes([i + 1]) * 20, amt, 1, i) for i, amt in enumerate(amounts)
     ]
-    result = clear(n_items, contribs)
-    tx = build_settlement(cfg(n_items), result)
+    ranked, price, late = clear(n_items, contribs)
+    tx = build_settlement(cfg(n_items), ranked, price, late)
     partial = sum(a for _, a in tx.partial_refunds)
     full = sum(a for _, a in tx.full_refunds)
-    retained = result.clearing_price * len(result.winners)
+    retained = price * len(ranked[:n_items])
     assert sum(amounts) == retained + partial + full
 
 
@@ -341,18 +345,18 @@ def test_adding_a_bid_never_lowers_the_price_when_fully_subscribed(
     contribs = [
         contrib(bytes([i + 1]) * 20, amt, 1, i) for i, amt in enumerate(amounts)
     ]
-    before = clear(n_items, contribs).clearing_price
+    _, before, _ = clear(n_items, contribs)
     contribs.append(contrib(bytes([len(amounts) + 1]) * 20, extra, 1, 99))
-    after = clear(n_items, contribs).clearing_price
+    _, after, _ = clear(n_items, contribs)
     assert after >= before
 
 
 def test_price_can_drop_while_undersubscribed():
     # boundary of the monotonicity property: a new lower bid still wins
-    before = clear(2, [contrib(A, 2, 1, 1)])
-    after = clear(2, [contrib(A, 2, 1, 1), contrib(B, 1, 1, 2)])
-    assert before.clearing_price == 2
-    assert after.clearing_price == 1
+    _, before, _ = clear(2, [contrib(A, 2, 1, 1)])
+    _, after, _ = clear(2, [contrib(A, 2, 1, 1), contrib(B, 1, 1, 2)])
+    assert before == 2
+    assert after == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,6 +365,6 @@ def test_winner_count_is_min_of_items_and_bidders(amounts, n_items):
     contribs = [
         contrib(bytes([i + 1]) * 20, amt, 1, i) for i, amt in enumerate(amounts)
     ]
-    result = clear(n_items, contribs)
-    assert len(result.winners) == min(n_items, len(amounts))
-    assert len(result.winners) + len(result.losers) == len(amounts)
+    ranked, _, _ = clear(n_items, contribs)
+    assert len(ranked[:n_items]) == min(n_items, len(amounts))
+    assert len(ranked[:n_items]) + len(ranked[n_items:]) == len(amounts)

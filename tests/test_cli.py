@@ -266,7 +266,7 @@ def test_verify_bad_utf8_past_the_first_read_is_a_schema_mismatch(tmp_path, caps
     assert "Traceback" not in captured.err + captured.out
 
 
-def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch):
+def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch, capsys):
     made = []
     run = harness._run
 
@@ -276,12 +276,17 @@ def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch
         return result
 
     monkeypatch.setattr(harness, "_run", recording_run)
-    tfile, _ = stored_run(tmp_path)
-    (tr,) = made
-    assert tr.lines == []
+    tfile, spath = stored_run(tmp_path)
+    with_file = capsys.readouterr().out
+    # without --transcript the body streams too, to nothing
+    assert cli.main(["run", spath]) == 0
+    assert capsys.readouterr().out == with_file
+    assert "transcript hash: " in with_file
+    filed, unfiled = made
+    assert filed.lines == [] and unfiled.lines == []
     body = tfile.read_bytes().split(b"\n", 1)[1]
     assert body.count(b"\n") > 10
-    assert tr.body_hash() == hashlib.sha256(body).digest()
+    assert filed.body_hash() == unfiled.body_hash() == hashlib.sha256(body).digest()
 
 
 @pytest.mark.parametrize("existing", [None, "kept\n"])

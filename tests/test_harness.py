@@ -205,7 +205,7 @@ def test_oracle_matches_engine_on_random_instances():
         ]
         bids, late = auction.aggregate(ledger_view, window)
         engine_tx = auction.build_settlement(
-            cfg, auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
+            cfg, *auction.compute_clearing(cfg, auction.canonical_sort(bids)), late
         )
         assert auction.encode_settlement(engine_tx) == auction.encode_settlement(
             oracle_tx

@@ -209,23 +209,22 @@ def test_the_kernel_equals_its_references(instance):
     assert bids == ref_bids and late == ref_late
     assert all(type(b) is AggregatedBid for b in bids)
 
-    result = compute_clearing(cfg, bids, late)
-    ordered = result.winners + result.losers
-    assert list(ordered) == reference_canonical_sort(ref_bids)
-    assert len(result.winners) == min(n_items, len(bids))
+    ordered, clearing_price = compute_clearing(cfg, bids)
+    assert ordered == reference_canonical_sort(ref_bids)
+    assert len(ordered[:n_items]) == min(n_items, len(bids))
 
     leaves = [encode_bid_leaf(b) for b in ordered]
     assert merkle_root(leaves) == reference_merkle_root(leaves)
     assert bid_list_root(ordered) == reference_merkle_root(leaves)
 
-    tx = build_settlement(cfg, result)
+    tx = build_settlement(cfg, ordered, clearing_price, late)
     encoding = encode_settlement(tx)
     assert encoding == reference_encode_settlement(tx)
 
     as_tuples = [(c.sender, c.amount, c.block_height, c.tx_id) for c in view]
     oracle_tx, price = oracle_from_contributions(AUCTION_ID, n_items, WINDOW, as_tuples)
     assert (oracle_tx, price) == reference_oracle(AUCTION_ID, n_items, WINDOW, as_tuples)
-    assert (oracle_tx, price) == (tx, result.clearing_price)
+    assert (oracle_tx, price) == (tx, clearing_price)
 
 
 def test_merkle_root_and_its_levels_equal_the_reference_at_every_size():

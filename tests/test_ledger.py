@@ -146,8 +146,8 @@ def settle_simple(m_sign=2):
     window = FundingWindow(0, 0)
     cfg = auction.AuctionConfig(n_items=1, window=window, auction_id=b"\x01" * 32)
     bids, late = auction.aggregate(fundings(led), window)
-    result = auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
-    tx = auction.build_settlement(cfg, result)
+    ranked, price = auction.compute_clearing(cfg, auction.canonical_sort(bids))
+    tx = auction.build_settlement(cfg, ranked, price, late)
     sigs = sign_tx(tx, keys, range(m_sign))
     return led, tx, sigs
 
@@ -160,6 +160,22 @@ def test_execute_settlement_happy_path():
     assert receipt.retained_balance == 7
     assert led.receipt is receipt
     assert sum(1 for ev in led.events if ev.kind == SETTLEMENT_EXECUTED) == 1
+
+
+def test_a_funding_queued_at_the_next_height_is_sealed_before_the_settlement():
+    led, tx, sigs = settle_simple()
+    led.submit_funding(C, 3, led.next_height)
+    receipt = led.execute_settlement(tx, sigs)
+    # the settlement refunds B's 3 only; A's 7 and C's 3 stay
+    assert receipt.retained_balance == 10
+    tail = list(led.events)[-4:]
+    assert [(ev.kind, ev.height, ev.index) for ev in tail] == [
+        (FUNDING_RECEIVED, 1, 0),
+        (BLOCK_SEALED, 1, 1),
+        (SETTLEMENT_EXECUTED, 2, 0),
+        (BLOCK_SEALED, 2, 1),
+    ]
+    assert tail[0].payload.sender == C and led.next_height == 3
 
 
 def test_settlement_replay_rejected():
@@ -223,7 +239,7 @@ def test_conservation_exact_after_settlement(amounts):
     cfg = auction.AuctionConfig(n_items=2, window=window, auction_id=b"\x02" * 32)
     bids, late = auction.aggregate(fundings(led), window)
     tx = auction.build_settlement(
-        cfg, auction.compute_clearing(cfg, auction.canonical_sort(bids), late)
+        cfg, *auction.compute_clearing(cfg, auction.canonical_sort(bids)), late
     )
     receipt = led.execute_settlement(tx, sign_tx(tx, keys, range(2)))
     refunds = receipt.partial_refund_total + receipt.full_refund_total

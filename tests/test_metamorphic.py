@@ -28,8 +28,8 @@ SENDERS = [bytes([i + 1]) * 20 for i in range(5)]
 def engine(n_items, window, contribs):
     cfg = AuctionConfig(n_items=n_items, window=window, auction_id=AUCTION_ID)
     bids, late = aggregate(contribs, window)
-    result = compute_clearing(cfg, bids, late)
-    return build_settlement(cfg, result), result.clearing_price
+    ranked, price = compute_clearing(cfg, bids)
+    return build_settlement(cfg, ranked, price, late), price
 
 
 def oracle(n_items, window, contribs):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmsim import auction, harness, netsim, wallet
-from swarmsim.agent import Log, SendPeer, SetTimer
+from swarmsim.agent import Log, SendPeer, SetTimer, SubmitSettlement
 from swarmsim.consensus import Envelope, Propose
 from swarmsim.ledger import (
     BLOCK_SEALED,
@@ -35,6 +35,7 @@ from swarmsim.transcript import Transcript
 from swarmsim.wallet import MultisigPolicy
 from test_agent import deliver_ledger, exchange_attestations, funded_ledger, make_world
 from test_consensus import ANY_MESSAGE, body_object, dumps
+from test_ledger import settle_simple
 
 # The policy of a ledger that only grows a chain: no test here settles on it.
 CHAIN_ONLY = MultisigPolicy(agent_keys=(bytes(32),), m=1)
@@ -510,3 +511,52 @@ def test_the_submit_line_reuses_the_digest_the_proposer_signed(monkeypatch):
     assert "execute_settlement" in callers and "_submit" not in callers
     submits = events(tr, "submit")
     assert submits and {ev["digest"] for ev in submits} == {rep.executed["digest"]}
+
+
+def _submit_twice(m_sign):
+    """Submit one settlement twice through a Simulation; returns the receipt
+    after each submit and the transcript lines."""
+    led, tx, sigs = settle_simple(m_sign)
+    tr = Transcript({"schema_version": 1})
+    sim = Simulation(
+        ledger=led,
+        agents=[],
+        submissions={},
+        last_height=0,
+        net=NetConfig(),
+        max_time=50,
+        transcript=tr,
+    )
+    act = SubmitSettlement(tx=tx, digest=wallet.settlement_digest(tx), shares=tuple(sigs))
+    receipts = []
+    for t in (5, 6):
+        sim._submit(0, act, t)
+        receipts.append(led.receipt)
+    return receipts, [json.loads(line) for line in tr.lines]
+
+
+def _submit_line(t, digest, shares):
+    return {"agent": 0, "digest": digest, "event": "submit", "shares": shares, "t": t}
+
+
+def test_a_submit_after_the_settlement_is_logged_as_rejected():
+    (first, second), lines = _submit_twice(m_sign=2)
+    assert first is not None and second is first
+    digest = first.digest.hex()
+    assert lines == [
+        _submit_line(5, digest, [0, 1]),
+        _submit_line(6, digest, [0, 1]),
+        {"agent": 0, "error": "AlreadySettled", "event": "submit_rejected", "t": 6},
+    ]
+
+
+def test_a_below_threshold_submit_is_logged_as_rejected():
+    receipts, lines = _submit_twice(m_sign=1)
+    assert receipts == [None, None]
+    digest = lines[0]["digest"]
+    assert lines == [
+        _submit_line(5, digest, [0]),
+        {"agent": 0, "error": "BadSignatureBundle", "event": "submit_rejected", "t": 5},
+        _submit_line(6, digest, [0]),
+        {"agent": 0, "error": "BadSignatureBundle", "event": "submit_rejected", "t": 6},
+    ]
