@@ -18,7 +18,7 @@ different settlement digests in one run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -66,8 +66,7 @@ class SigningGuardViolation(Exception):
 # -- enclave mock ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttestationTriple:
+class AttestationTriple(NamedTuple):
     measurement: bytes
     verifying_key: bytes
     attestation: bytes
@@ -124,26 +123,22 @@ class EnclaveMock:
 # -- actions ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SendPeer:
+class SendPeer(NamedTuple):
     to: int
     envelope: Envelope
 
 
-@dataclass(frozen=True)
-class SubmitSettlement:
+class SubmitSettlement(NamedTuple):
     tx: SettlementTx
     digest: bytes  # the digest the shares sign, so the submit line need not re-encode tx
     shares: tuple[SignatureShare, ...]
 
 
-@dataclass(frozen=True)
-class SetTimer:
+class SetTimer(NamedTuple):
     duration: int
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(NamedTuple):
     phase: str
     event: str
     detail: dict
@@ -282,7 +277,7 @@ class Agent:
         if self._full is None:
             self._full = auction.encode_entries(bytearray(), self.tx.full_refunds)
         self._full += auction.encode_entries(bytearray(), (entry,))
-        self.tx = replace(self.tx, full_refunds=self.tx.full_refunds + (entry,))
+        self.tx = self.tx._replace(full_refunds=self.tx.full_refunds + (entry,))
         self.digest = auction.full_refund_digest(self._head, self._full)
         return [
             self._log(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import (
@@ -21,6 +20,7 @@ from .ledger import (
     ArithmeticOverflow,
     Contribution,
     FundingWindow,
+    checked,
     encode_amount,
 )
 
@@ -29,13 +29,13 @@ class DuplicateBidder(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AuctionConfig:
+@checked
+class AuctionConfig(NamedTuple):
     n_items: int
     window: FundingWindow
     auction_id: bytes
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_items < 1:
             raise ValueError("n_items must be >= 1")
         if len(self.auction_id) != 32:
@@ -58,8 +58,7 @@ _ENTRY_LEN = 36  # address (20) || amount (16)
 _NONCE = bytes(8)  # the settlement nonce, always 0
 
 
-@dataclass(frozen=True)
-class SettlementTx:
+class SettlementTx(NamedTuple):
     auction_id: bytes
     mints: tuple[bytes, ...]  # winner addresses; each mints one identical item
     partial_refunds: tuple[tuple[bytes, int], ...]

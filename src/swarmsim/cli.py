@@ -109,17 +109,21 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
-    # opened before the run, so an unwritable path fails at once; without a
-    # path the body still streams, to a file that keeps nothing
+    # both outputs are opened before the run, so an unwritable path fails at
+    # once and a failed run leaves neither; without a transcript path the
+    # body still streams, to a file that keeps nothing
     path = args.transcript
+    if path and args.report and os.path.abspath(path) == os.path.abspath(args.report):
+        print("cannot write output: --transcript and --report name one file", file=sys.stderr)
+        return 1
     out = _replace_on_success(path) if path else open(os.devnull, "w", encoding="utf-8")
-    with out as fh:
+    kept = _replace_on_success(args.report) if args.report else contextlib.nullcontext()
+    with out as fh, kept as report_fh:
         sink = functools.partial(transcript.stream_to, fh)
         report = harness.run_scenario_dict(data, raw, sink)[1]
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        if report_fh is not None:
+            json.dump(report.to_dict(), report_fh, indent=2)
+            report_fh.write("\n")
     for line in report.summary_lines():
         print(line)
     return harness.EXIT_CODES[report.outcome]

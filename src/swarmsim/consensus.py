@@ -12,9 +12,10 @@ on a peer's say-so alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import wallet
+from .ledger import checked
 from .wallet import SignatureShare
 
 TRANSPORT_DOMAIN = b"swarmsim/peer-msg/v1"
@@ -26,12 +27,12 @@ NACK_NOT_READY = "not_ready"
 NACK_REASONS = (NACK_ROOT_MISMATCH, NACK_DIGEST_MISMATCH, NACK_NOT_READY)
 
 
-@dataclass(frozen=True)
-class RoundConfig:
+@checked
+class RoundConfig(NamedTuple):
     r_max: int = 3
     round_timeout: int = 10
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
         if self.round_timeout < 1:
@@ -44,33 +45,30 @@ def proposer_for(round_index: int, n_agents: int) -> int:
     return round_index % n_agents
 
 
-@dataclass(frozen=True)
-class Propose:
+class Propose(NamedTuple):
     round_index: int
     root: bytes
     clearing_price: int
     settlement_digest: bytes
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     round_index: int
     settlement_digest: bytes
     share: SignatureShare
 
 
-@dataclass(frozen=True)
-class Nack:
+@checked
+class Nack(NamedTuple):
     round_index: int
     reason: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.reason not in NACK_REASONS:
             raise ValueError(f"unknown nack reason {self.reason!r}")
 
 
-@dataclass(frozen=True)
-class AbortMsg:
+class AbortMsg(NamedTuple):
     round_index: int
 
 
@@ -111,8 +109,7 @@ def transport_digest(msg: PeerMessage) -> bytes:
     return hashlib.sha256(TRANSPORT_DOMAIN + body_json(msg).encode()).digest()
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     sender: int
     msg: PeerMessage
     transport_sig: bytes

@@ -16,8 +16,8 @@ import hashlib
 import heapq
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import netsim, wallet
 from .agent import PHASE_ABORTED, Agent, EnclaveMock
@@ -82,8 +82,9 @@ def oracle_from_contributions(
     totals: dict[bytes, int] = {}
     first: dict[bytes, tuple[int, bytes]] = {}
     outside: list[tuple[bytes, int]] = []
+    lo, hi = window.start_height, window.end_height
     for sender, amount, height, tx_id in contribs:
-        if window.start_height <= height <= window.end_height:
+        if lo <= height <= hi:
             totals[sender] = totals.get(sender, 0) + amount
             if sender not in first:
                 first[sender] = (height, tx_id)
@@ -112,8 +113,7 @@ def oracle_from_contributions(
 # -- run + classify -----------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     outcome: str
     oracle: dict
     executed: dict | None
@@ -125,7 +125,7 @@ class RunReport:
     conservation_ok: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def summary_lines(self) -> list[str]:
         mc = self.message_counts
@@ -312,8 +312,7 @@ def _build_report(
 # -- verification ----------------------------------------------------------------
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     accepted: bool
     reason: str
     line_number: int | None = None

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 ADDRESS_LEN = 20
@@ -71,6 +70,28 @@ def encode_amount(value: int) -> bytes:
     return check_amount(value).to_bytes(16, "big")
 
 
+def checked(record: type) -> type:
+    """Class decorator: check a NamedTuple record's fields on every build.
+
+    Returns a subclass of the same name, with no instance dict, whose
+    `__new__` runs the record's `_check` on what the NamedTuple built. Its
+    `_make` builds through the class, so `_replace` checks too: a NamedTuple's
+    own `_make` skips `__new__`."""
+
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    return type(record.__name__, (record,), {
+        "__slots__": (),
+        "__new__": __new__,
+        "_make": classmethod(lambda cls, values: cls(*values)),
+        "__module__": record.__module__,
+        "__doc__": record.__doc__,
+    })
+
+
 class Contribution(NamedTuple):
     sender: bytes
     amount: int
@@ -78,12 +99,12 @@ class Contribution(NamedTuple):
     tx_id: bytes
 
 
-@dataclass(frozen=True)
-class FundingWindow:
+@checked
+class FundingWindow(NamedTuple):
     start_height: int
     end_height: int  # inclusive
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.start_height < 0 or self.end_height < self.start_height:
             raise ValueError(
                 f"invalid window [{self.start_height}, {self.end_height}]"
@@ -111,8 +132,7 @@ class LedgerEvent(NamedTuple):
     payload: object
 
 
-@dataclass(frozen=True)
-class SettlementReceipt:
+class SettlementReceipt(NamedTuple):
     """What the ledger computed executing `tx`; its event holds height and index."""
 
     digest: bytes

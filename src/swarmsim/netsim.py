@@ -17,13 +17,12 @@ which keeps the safety claims about the honest machine auditable.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import itertools
 import random
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agent import (
     Agent,
@@ -41,6 +40,7 @@ from .ledger import (
     AlreadySettled,
     BadSignatureBundle,
     Ledger,
+    checked,
 )
 from .transcript import Transcript, canonical_json
 
@@ -51,8 +51,7 @@ FAULT_EQUIVOCATE = "equivocate"
 FAULT_BAD_ATTESTATION = "bad_attestation"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     from_time: int
     to_time: int
     side_a: frozenset[int]
@@ -66,29 +65,29 @@ class Partition:
         )
 
 
-@dataclass(frozen=True)
-class NetConfig:
+@checked
+class NetConfig(NamedTuple):
     delay_min: int = 1
     delay_max: int = 2
     drop_rate: float = 0.0
     partitions: tuple[Partition, ...] = ()
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.delay_min < 0 or self.delay_max < self.delay_min:
             raise ValueError("need 0 <= delay_min <= delay_max")
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValueError("drop_rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+@checked
+class FaultSpec(NamedTuple):
     agent_index: int
     kind: str
     at_time: int | None = None
     perturb_seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == FAULT_CRASH and self.at_time is None:
@@ -180,7 +179,7 @@ class EquivocateFault(_Fault):
                 ).digest()
                 # A subverted agent can feed anything to its own key, so the
                 # transport signature stays valid; it still cannot forge peers'.
-                env = self.inner._seal(dataclasses.replace(p, root=root))
+                env = self.inner._seal(p._replace(root=root))
                 act = SendPeer(to=act.to, envelope=env)
             out.append(act)
         return out

@@ -19,7 +19,6 @@ import re
 import struct
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .agent import AGENT_MEASUREMENT
@@ -87,8 +86,7 @@ class BidderEntry(NamedTuple):
     height: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     seed: int
     n_items: int
     window: FundingWindow
@@ -410,7 +408,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
 def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]:
     """One contribution per generated bidder; amount draw precedes height draw."""
     rng = _stream_rng(b"swarmsim/population/v1", seed)
-    out = []
+    out, start = [], window.start_height
     for addr in _bidder_addresses(seed, range(count)):
         if sampler[0] == "uniform":
             amount = rng.randint(sampler[1], sampler[2])
@@ -420,7 +418,7 @@ def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]
                 amount = min(int(draw), MAX_SINGLE_AMOUNT)
             except OverflowError:  # the draw left float range, far above 2^100
                 amount = MAX_SINGLE_AMOUNT
-        height = window.start_height + rng.randrange(spread)
+        height = start + rng.randrange(spread)
         out.append(BidderEntry(addr, amount, height))
     return out
 

@@ -11,7 +11,7 @@ checked, so one run's agents and ledger verify each distinct signature once.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -20,6 +20,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .auction import SettlementTx, encode_settlement
+from .ledger import checked
 
 SIG_SCHEME = "ed25519"
 KEY_LEN = 32
@@ -31,27 +32,24 @@ REJECT_UNKNOWN_INDEX_ONLY = "unknown_index_only"
 REJECT_BELOW_THRESHOLD = "below_threshold"
 
 
-@dataclass(frozen=True)
-class SignatureShare:
+@checked
+class SignatureShare(NamedTuple):
     agent_index: int
     sig: bytes
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.agent_index < 0:
             raise ValueError("agent_index must be non-negative")
         if len(self.sig) != SIG_LEN:
             raise ValueError(f"signature must be {SIG_LEN} bytes")
 
 
-@dataclass(frozen=True)
-class MultisigPolicy:
+@checked
+class _Threshold(NamedTuple):
     agent_keys: tuple[bytes, ...]  # verifying keys, one per agent index
     m: int
-    # (key, digest, sig) -> verify_signature's answer, true or false. A run
-    # builds one policy, so nothing verified outlives the run.
-    _verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         n = len(self.agent_keys)
         if not 1 <= self.m <= n:
             raise ValueError(f"threshold m={self.m} outside 1..{n}")
@@ -60,6 +58,19 @@ class MultisigPolicy:
         for key in self.agent_keys:
             if len(key) != KEY_LEN:
                 raise ValueError(f"verifying key must be {KEY_LEN} bytes")
+
+
+class MultisigPolicy(_Threshold):
+    """An m-of-n threshold over the agents' verifying keys, with a memo of the
+    signatures checked under it. For lack of `__slots__` each policy has an
+    instance dict; the memo sits there, outside equality, hash and repr."""
+
+    def __new__(cls, *args, **kwargs):
+        policy = super().__new__(cls, *args, **kwargs)
+        # (key, digest, sig) -> verify_signature's answer, true or false. A run
+        # builds one policy, so nothing verified outlives the run.
+        policy._verified = {}
+        return policy
 
     @property
     def n(self) -> int:
@@ -74,8 +85,7 @@ class MultisigPolicy:
         return ok
 
 
-@dataclass(frozen=True)
-class BundleVerdict:
+class BundleVerdict(NamedTuple):
     accepted: bool
     reason: str | None
 

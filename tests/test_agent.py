@@ -1,6 +1,5 @@
 """Agent state machine: attestation roster, phases, votes, signing guard."""
 
-import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -137,7 +136,7 @@ def test_attestation_round_trip():
 def test_forged_attestation_quote_rejected():
     agents, _, _, _ = make_world()
     triple = agents[0].attest()
-    forged = dataclasses.replace(triple, attestation=b"\x00" * 32)
+    forged = triple._replace(attestation=b"\x00" * 32)
     assert not verify_attestation(forged, AGENT_MEASUREMENT)
 
 
@@ -214,7 +213,7 @@ def test_matching_propose_acked_with_valid_share():
 def test_mismatching_root_nacked_and_rechecked():
     agents, keys, _, _, actions = ready_world()
     honest = sends(actions[0])[0].envelope.msg
-    twisted = dataclasses.replace(honest, root=b"\x66" * 32)
+    twisted = honest._replace(root=b"\x66" * 32)
     env = seal(keys[0], 0, twisted)
     reply = agents[1].on_peer_message(env, 6)
     (send,) = sends(reply)
@@ -230,7 +229,7 @@ def test_mismatching_root_nacked_and_rechecked():
 def test_digest_mismatch_logged_loudly():
     agents, keys, _, _, actions = ready_world()
     honest = sends(actions[0])[0].envelope.msg
-    twisted = dataclasses.replace(honest, settlement_digest=b"\x55" * 32)
+    twisted = honest._replace(settlement_digest=b"\x55" * 32)
     env = seal(keys[0], 0, twisted)
     reply = agents[1].on_peer_message(env, 6)
     assert logs(reply, "digest_mismatch")
@@ -256,7 +255,7 @@ def test_not_ready_before_computation():
 def test_unknown_sender_dropped():
     agents, keys, _, _, _ = ready_world()
     msg = Nack(round_index=0, reason="not_ready")
-    env = dataclasses.replace(seal(keys[0], 0, msg), sender=7)
+    env = seal(keys[0], 0, msg)._replace(sender=7)
     reply = agents[1].on_peer_message(env, 6)
     assert logs(reply, "unknown_sender")
     assert sends(reply) == []
@@ -343,7 +342,7 @@ def test_corrupted_ack_share_ignored():
     bad_share = SignatureShare(
         agent_index=1, sig=bytes([good.share.sig[0] ^ 1]) + good.share.sig[1:]
     )
-    forged = dataclasses.replace(good, share=bad_share)
+    forged = good._replace(share=bad_share)
     reply = agents[0].on_peer_message(seal(keys[1], 1, forged), 7)
     assert logs(reply, "invalid_share_ignored")
     assert agents[0].submitted is False
@@ -355,9 +354,7 @@ def test_ack_share_for_agent_index_n_ignored():
     agents, keys, policy, _, actions = ready_world()
     env = sends(actions[0])[0].envelope
     good = sends(agents[1].on_peer_message(env, 6))[0].envelope.msg
-    forged = dataclasses.replace(
-        good, share=SignatureShare(agent_index=policy.n, sig=good.share.sig)
-    )
+    forged = good._replace(share=SignatureShare(agent_index=policy.n, sig=good.share.sig))
     reply = agents[0].on_peer_message(seal(keys[1], 1, forged), 7)
     assert logs(reply, "invalid_share_ignored")[0].detail["agent"] == policy.n
     assert agents[0].submitted is False
@@ -491,7 +488,7 @@ def test_a_bad_late_funding_raises_what_encode_settlement_raises(sender, amount)
     agents, _, _, cfg, _ = ready_world()
     agent = agents[1]
     cleared = cleared_state(agent)
-    grown = dataclasses.replace(agent.tx, full_refunds=agent.tx.full_refunds + ((sender, amount),))
+    grown = agent.tx._replace(full_refunds=agent.tx.full_refunds + ((sender, amount),))
     with pytest.raises(Exception) as expected:
         auction.encode_settlement(grown)
     bad = Contribution(sender=sender, amount=amount, block_height=3, tx_id=b"\x76" * 32)

@@ -314,6 +314,46 @@ def test_a_run_that_raises_leaves_no_transcript_behind(tmp_path, monkeypatch, ex
         assert tfile.read_text(encoding="utf-8") == existing
 
 
+def test_an_unwritable_report_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    runs = []
+    monkeypatch.setattr(Simulation, "run", lambda self: runs.append(self))
+    tfile = tmp_path / "t.jsonl"
+    report = (tmp_path / "missing" / "r.json").as_posix()
+    assert cli.main(["run", spath, "--transcript", tfile.as_posix(), "--report", report]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert runs == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_one_path_for_transcript_and_report_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    runs = []
+    monkeypatch.setattr(Simulation, "run", lambda self: runs.append(self))
+    out = (tmp_path / "out.json").as_posix()
+    assert cli.main(["run", spath, "--transcript", out, "--report", f"{tmp_path}/./out.json"]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert runs == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_a_run_that_raises_leaves_no_report_behind(tmp_path, monkeypatch):
+    spath = write(tmp_path, build_scenario_dict(seed=11))
+    during = []
+
+    def failing_submit(self, agent_index, act, now):
+        during.append(sorted(path.name for path in tmp_path.iterdir()))
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(Simulation, "_submit", failing_submit)
+    argv = ["run", spath, "--transcript", (tmp_path / "t.jsonl").as_posix()]
+    with pytest.raises(RuntimeError, match="injected failure"):
+        cli.main(argv + ["--report", (tmp_path / "r.json").as_posix()])
+    # both outputs were open while the run went on, and neither is left
+    assert during == [["r.json.part", "scenario.json", "t.jsonl.part"]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
 def gc_state(request):
     """The collector state a caller of cli.main holds; restored after the test."""

@@ -1,6 +1,5 @@
 """Peer message codec, transport signatures, and round bookkeeping."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -126,9 +125,9 @@ def test_body_round_trip(msg):
     message changes the body, so the transport signature covers every field."""
     body = body_json(msg)
     assert json.loads(body) == body_object(msg)
-    for field in dataclasses.fields(msg):
-        other = dataclasses.replace(msg, **{field.name: OTHER_VALUES[field.name]})
-        assert body_json(other) != body, field.name
+    for name in msg._fields:
+        other = msg._replace(**{name: OTHER_VALUES[name]})
+        assert body_json(other) != body, name
 
 
 def test_body_bytes_are_canonical_json():
@@ -174,14 +173,14 @@ def test_open_rejects_wrong_key():
     env = seal(KEY, 0, MESSAGES[0])
     other = verifying_key_for(agent_signing_key(5, 1))
     assert not open_envelope(env, policy_with(other, 0))
-    assert not open_envelope(dataclasses.replace(env, sender=1), policy_with(VK, 0))
+    assert not open_envelope(env._replace(sender=1), policy_with(VK, 0))
 
 
 def test_open_rejects_tampered_body():
     env = seal(KEY, 0, MESSAGES[0])
     forged = Envelope(
         sender=env.sender,
-        msg=dataclasses.replace(env.msg, clearing_price=741),
+        msg=env.msg._replace(clearing_price=741),
         transport_sig=env.transport_sig,
     )
     assert not open_envelope(forged, policy_with(VK, 0))

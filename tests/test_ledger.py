@@ -1,6 +1,5 @@
 """Ledger mechanics: funding, sealing, settlement execution."""
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +189,7 @@ def test_a_second_settlement_of_another_auction_id_is_rejected():
     # the wallet sells once: a valid, affordable bundle for another id is refused too
     led, tx, sigs = settle_simple()
     receipt = led.execute_settlement(tx, sigs)
-    other = dataclasses.replace(tx, auction_id=b"\x02" * 32)
+    other = tx._replace(auction_id=b"\x02" * 32)
     with pytest.raises(AlreadySettled):
         led.execute_settlement(other, sign_tx(other, KEYS, range(2)))
     assert led.receipt is receipt

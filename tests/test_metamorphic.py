@@ -8,8 +8,6 @@ settlement must move when the fundings move, and is checked on the engine
 tx ids, which break ties between equal totals, follow the ledger's rule.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -83,7 +81,7 @@ def test_a_post_window_funding_adds_one_full_refund_at_the_end(clear, auction, s
     height = max([window.end_height + 1] + [f[2] for f in fundings])
     grown, grown_price = clear(n_items, window, ledgered(fundings + [(sender, amount, height)]))
     assert grown_price == price
-    assert grown == replace(tx, full_refunds=tx.full_refunds + ((sender, amount),))
+    assert grown == tx._replace(full_refunds=tx.full_refunds + ((sender, amount),))
 
 
 @CLEARERS

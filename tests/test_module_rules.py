@@ -1,13 +1,18 @@
 """Rules on the package's own code: the settlement oracle stays independent of
 the engine's encoders, every import is relative, stdlib or cryptography, no
-memo outlives a run, and a run never parses its own transcript back."""
+memo outlives a run, a run never parses its own transcript back, and importing
+the command line builds no dataclass."""
 
 import ast
 import builtins
 import inspect
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import swarmsim
 from swarmsim import harness
@@ -47,18 +52,25 @@ def test_oracle_shares_only_the_wire_type_and_the_auction_id_with_the_engine():
     assert used == {"hashlib", "heapq", "SettlementTx", "derive_auction_id"}
 
 
+def absolute_imports(tree: ast.Module) -> list[str]:
+    """The modules that a module's `import` statements name absolutely."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
 def test_imports_are_relative_stdlib_or_cryptography():
     allowed = set(sys.stdlib_module_names) | {"cryptography"}
-    bad = []
-    for name, tree in package_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            bad += [f"{name}: {mod}" for mod in modules if mod.split(".")[0] not in allowed]
+    bad = [
+        f"{name}: {mod}"
+        for name, tree in package_trees()
+        for mod in absolute_imports(tree)
+        if mod.split(".")[0] not in allowed
+    ]
     assert bad == []
 
 
@@ -99,3 +111,39 @@ def test_only_the_transcript_module_reads_transcript_lines_back():
         if isinstance(node, ast.Attribute) and node.attr == "iter_events"
     ]
     assert bad == []
+
+
+@pytest.mark.golden_matrix
+def test_no_package_module_imports_dataclasses():
+    # Every record is a NamedTuple. `dataclasses` writes each class's code at
+    # import and imports `inspect`, a cost that every `run`, `verify` and `gen`
+    # process would pay before it reads its input.
+    bad = [
+        f"{name}: {mod}"
+        for name, tree in package_trees()
+        for mod in absolute_imports(tree)
+        if mod.split(".")[0] == "dataclasses"
+    ]
+    assert bad == []
+
+
+@pytest.mark.golden_matrix
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter that already holds what the command line needs from
+    # outside the package: what the package's own import adds is its cost.
+    preloaded = "cryptography.hazmat.primitives.asymmetric.ed25519, typing, json, argparse, hashlib"
+    code = (
+        f"import sys, {preloaded}\n"
+        "before = set(sys.modules)\n"
+        "import swarmsim.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = [str(Path(swarmsim.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    added = set(
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+    )
+    assert "swarmsim.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()

@@ -1,6 +1,5 @@
 """Threshold signature checks: digests, shares, bundle acceptance."""
 
-import dataclasses
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -56,12 +55,12 @@ def share(index, digest, valid=True):
 
 def test_digest_deterministic_across_copies():
     tx = sample_tx()
-    assert settlement_digest(tx) == settlement_digest(dataclasses.replace(tx))
+    assert settlement_digest(tx) == settlement_digest(tx._replace())
 
 
 def test_digest_changes_when_refund_changes():
     tx = sample_tx()
-    bumped = dataclasses.replace(tx, full_refunds=((B, 8),))
+    bumped = tx._replace(full_refunds=((B, 8),))
     assert settlement_digest(tx) != settlement_digest(bumped)
 
 
@@ -97,7 +96,7 @@ def test_verify_rejects_other_agents_key():
 def test_verify_rejects_other_digest():
     d1 = settlement_digest(sample_tx())
     d2 = settlement_digest(
-        dataclasses.replace(sample_tx(), full_refunds=((B, 9),))
+        sample_tx()._replace(full_refunds=((B, 9),))
     )
     assert not verify_signature(VKS[0], d2, sign(KEYS[0], d1))
 
