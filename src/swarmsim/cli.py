@@ -109,18 +109,23 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
+    # parsed before any output opens; only the Scenario reaches the run
+    sc = scenario.parse_scenario(data, raw)
+    del data, raw
     # both outputs are opened before the run, so an unwritable path fails at
     # once and a failed run leaves neither; without a transcript path the
-    # body still streams, to a file that keeps nothing
+    # body still streams, to a file that keeps nothing. No output or .part
+    # sibling may name the scenario or another, however spelled or linked.
     path = args.transcript
-    if path and args.report and os.path.abspath(path) == os.path.abspath(args.report):
-        print("cannot write output: --transcript and --report name one file", file=sys.stderr)
+    files = [args.scenario] + [p + s for p in (path, args.report) if p for s in ("", ".part")]
+    if len({os.path.realpath(f) for f in files}) < len(files):
+        print("cannot write output: an output names the scenario or another one", file=sys.stderr)
         return 1
     out = _replace_on_success(path) if path else open(os.devnull, "w", encoding="utf-8")
     kept = _replace_on_success(args.report) if args.report else contextlib.nullcontext()
     with out as fh, kept as report_fh:
         sink = functools.partial(transcript.stream_to, fh)
-        report = harness.run_scenario_dict(data, raw, sink)[1]
+        report = harness._run(sc, sink)[1]
         if report_fh is not None:
             json.dump(report.to_dict(), report_fh, indent=2)
             report_fh.write("\n")

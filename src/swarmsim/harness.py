@@ -167,11 +167,14 @@ def run_scenario_dict(
     lines; with one, each line goes to the sink's consumer instead."""
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
-    return _run(parse_scenario(data, raw), sink)
+    sc = parse_scenario(data, raw)
+    del data, raw  # freed before the run, unless the caller holds it
+    return _run(sc, sink)
 
 
 def run_scenario(path: str) -> tuple[Transcript, RunReport]:
-    return run_scenario_dict(*load_scenario(path))
+    # the loaded pair dies when parse_scenario returns, before the run
+    return _run(parse_scenario(*load_scenario(path)))
 
 
 def _run(sc: Scenario, sink: Sink | None = None) -> tuple[Transcript, RunReport]:
@@ -379,6 +382,7 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
         if header["scenario_hash"] != hashlib.sha256(raw_scn).hexdigest():
             return VerifyResult(False, "scenario_hash_mismatch")
         sc = parse_scenario(data, raw_scn)
+        del data, raw_scn  # not held across the replay
         if header["seed"] != sc.seed:
             return VerifyResult(False, "seed_mismatch")
         if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:

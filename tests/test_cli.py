@@ -337,6 +337,48 @@ def test_one_path_for_transcript_and_report_fails_before_the_run(tmp_path, monke
     assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
 
 
+@pytest.mark.parametrize("flag", ["--transcript", "--report"])
+@pytest.mark.parametrize("spelling", ["plain", "dotted", "symlink", "part_sibling"])
+def test_an_output_naming_the_scenario_fails_before_the_run(
+    tmp_path, monkeypatch, capsys, flag, spelling
+):
+    name = "out.json.part" if spelling == "part_sibling" else "scenario.json"
+    spath = write(tmp_path, build_scenario_dict(seed=11), name=name)
+    before = (tmp_path / name).read_bytes()
+    left = [name]
+    if spelling == "symlink":
+        (tmp_path / "link.json").symlink_to(tmp_path / name)
+        left = ["link.json", name]
+    out = {
+        "plain": spath,
+        "dotted": f"{tmp_path}/./{name}",
+        "symlink": (tmp_path / "link.json").as_posix(),
+        # the output is written to out.json.part first, which is the scenario
+        "part_sibling": (tmp_path / "out.json").as_posix(),
+    }[spelling]
+    runs = []
+    monkeypatch.setattr(Simulation, "run", lambda self: runs.append(self))
+    assert cli.main(["run", spath, flag, out]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert runs == []
+    assert (tmp_path / name).read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == left
+
+
+def test_an_invalid_scenario_is_reported_before_an_unwritable_output(tmp_path, capsys):
+    # the scenario is parsed before any output opens, so of the two faults
+    # the scenario's is the one reported; either way no file is left
+    data = build_scenario_dict()
+    data["agents"]["m"] = 5
+    spath = write(tmp_path, data)
+    target = (tmp_path / "missing" / "t.jsonl").as_posix()
+    assert cli.main(["run", spath, "--transcript", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ")
+    assert "cannot write output" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
+
+
 def test_a_run_that_raises_leaves_no_report_behind(tmp_path, monkeypatch):
     spath = write(tmp_path, build_scenario_dict(seed=11))
     during = []

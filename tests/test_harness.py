@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import sys
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
-from swarmsim import auction, harness, wallet
+from swarmsim import auction, cli, harness, scenario, wallet
 from swarmsim.harness import (
     SchemaMismatch,
     _build_report,
@@ -436,6 +437,61 @@ def test_a_run_frees_its_ledger_before_the_oracle(monkeypatch):
             gc.enable()
     assert report.outcome == "SETTLED_CORRECT"
     assert alive_at_oracle == [[False]]
+
+
+class _Document(dict):
+    """A scenario document that a weak reference can watch."""
+
+
+@pytest.mark.golden_matrix
+@pytest.mark.parametrize("command", ["cli_run", "run_scenario", "verify_transcript"])
+def test_no_command_holds_the_scenario_document_while_it_simulates(tmp_path, monkeypatch, command):
+    # the parsed document is dead once the Scenario is built, so `run` and
+    # `verify` hold one copy of the input; freed by reference counts, as
+    # with the collector paused
+    data = build_scenario_dict(seed=5)
+    data["bidders"] = {
+        "explicit": [
+            {"address": bidder_address(5, i).hex(), "amount": str(100 + i), "height": 1 + i % 5}
+            for i in range(40)
+        ]
+    }
+    spath = write_scenario(tmp_path, data).as_posix()
+    tpath = (tmp_path / "t.jsonl").as_posix()
+    assert cli.main(["run", spath, "--transcript", tpath]) == 0
+    documents = []
+    alive_at_run = []
+    load = scenario.load_scenario
+
+    def tracked_load(path):
+        loaded, raw = load(path)
+        document = _Document(loaded)
+        documents.append(weakref.ref(document))
+        return document, raw
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "swarmsim" and getattr(module, "load_scenario", None) is load:
+            monkeypatch.setattr(module, "load_scenario", tracked_load)
+    sim_run = Simulation.run
+
+    def checking_run(self):
+        alive_at_run.append([ref() is not None for ref in documents])
+        sim_run(self)
+
+    monkeypatch.setattr(Simulation, "run", checking_run)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if command == "cli_run":
+            assert cli.main(["run", spath]) == 0
+        elif command == "run_scenario":
+            assert run_scenario(spath)[1].outcome == "SETTLED_CORRECT"
+        else:
+            assert verify_transcript(tpath, spath).accepted
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive_at_run == [[False]]
 
 
 def test_verify_rejects_edited_line(tmp_path):
