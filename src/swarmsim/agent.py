@@ -214,7 +214,7 @@ class Agent:
         self._last_key = key
 
         if ev.kind == FUNDING_RECEIVED and self.phase == PHASE_MONITORING:
-            # the bulk of every run: `_on_funding` would only append it
+            # the bulk of every run: before the window-end seal a funding only joins the view
             self.view.append(ev.payload)
             return []
         if self.phase == PHASE_ABORTED or self.phase == PHASE_DONE:

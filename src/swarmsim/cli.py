@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import json
 import os
@@ -124,8 +123,7 @@ def _cmd_run(args) -> int:
     out = _replace_on_success(path) if path else open(os.devnull, "w", encoding="utf-8")
     kept = _replace_on_success(args.report) if args.report else contextlib.nullcontext()
     with out as fh, kept as report_fh:
-        sink = functools.partial(transcript.stream_to, fh)
-        report = harness._run(sc, sink)[1]
+        report = harness._run(sc, transcript.line_writer(fh))[1]
         if report_fh is not None:
             json.dump(report.to_dict(), report_fh, indent=2)
             report_fh.write("\n")

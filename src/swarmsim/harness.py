@@ -6,7 +6,8 @@ scenario.py), executes to quiescence, then classifies the outcome against an
 oracle that re-derives the expected settlement straight from the scenario
 inputs through its own tx-id encoding, aggregation and selection code.
 Verification replays a scenario and compares each replayed line with the
-stored one as it is added, stopping at the first divergence.
+stored one as it is added, stopping at the first divergence; the header is
+line 1, compared through the same path as every other line.
 """
 
 from __future__ import annotations
@@ -156,20 +157,16 @@ class RunReport(NamedTuple):
         return lines
 
 
-# Called once with the transcript header; returns the consumer of each body line.
-Sink = Callable[[dict], Callable[[str], None]]
-
-
 def run_scenario_dict(
-    data: dict, raw: bytes | None = None, sink: Sink | None = None
+    data: dict, raw: bytes | None = None, consume: Callable[[str], None] | None = None
 ) -> tuple[Transcript, RunReport]:
-    """Run and classify. Without a `sink` the returned transcript keeps its
-    lines; with one, each line goes to the sink's consumer instead."""
+    """Run and classify. Without `consume` the returned transcript keeps its
+    body lines; with it, every line, the header first, goes to `consume`."""
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
     sc = parse_scenario(data, raw)
     del data, raw  # freed before the run, unless the caller holds it
-    return _run(sc, sink)
+    return _run(sc, consume)
 
 
 def run_scenario(path: str) -> tuple[Transcript, RunReport]:
@@ -177,7 +174,9 @@ def run_scenario(path: str) -> tuple[Transcript, RunReport]:
     return _run(parse_scenario(*load_scenario(path)))
 
 
-def _run(sc: Scenario, sink: Sink | None = None) -> tuple[Transcript, RunReport]:
+def _run(
+    sc: Scenario, consume: Callable[[str], None] | None = None
+) -> tuple[Transcript, RunReport]:
     """Execute to quiescence, classify, and report."""
     enclaves = [EnclaveMock(agent_signing_key(sc.seed, i)) for i in range(sc.n)]
     # One policy per run: the ledger and every agent share its memo of checked
@@ -213,7 +212,7 @@ def _run(sc: Scenario, sink: Sink | None = None) -> tuple[Transcript, RunReport]
         "sig_scheme": wallet.SIG_SCHEME,
         "scenario_hash": hashlib.sha256(sc.raw_bytes).hexdigest(),
     }
-    tr = Transcript(header, None if sink is None else sink(header))
+    tr = Transcript(header, consume)
     sim = Simulation(
         ledger=ledger,
         agents=agents,
@@ -388,24 +387,18 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
         if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:
             return VerifyResult(False, "header_mismatch")
 
-        # line 1 is the header; None stands for every line past the stored end
-        numbered = enumerate(chain(stored, repeat(None)), start=2)
+        # The checks above compare values (True == 1, 7.0 == 7); `compare` then
+        # compares the bytes of every line as `run` writes them, the header first.
+        # None stands for every line past the stored end.
+        numbered = enumerate(chain([header_line], stored, repeat(None)), start=1)
 
         def compare(expected: str) -> None:
             line_number, got = next(numbered)
             if not _written_as(got, expected):
                 raise _Diverged(_divergence(line_number, got, expected))
 
-        def compare_header(replayed: dict) -> Callable[[str], None]:
-            # The checks above compare values (True == 1, 7.0 == 7); this one
-            # compares the bytes, as `run` writes them.
-            expected = canonical_json(replayed)
-            if not _written_as(header_line, expected):
-                raise _Diverged(_divergence(1, header_line, expected))
-            return compare
-
         try:
-            outcome = _run(sc, compare_header)[1].outcome
+            outcome = _run(sc, compare)[1].outcome
             line_number, extra = next(numbered)
         except _Diverged as exc:
             return exc.args[0]

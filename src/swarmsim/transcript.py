@@ -40,14 +40,16 @@ def canonical_json(obj) -> str:
 
 class Transcript:
     """Hashes each body line as it is added and hands it to one consumer. The
-    default consumer keeps the lines in `lines`; with any other consumer nothing
-    holds the body, and reading it back raises ValueError."""
+    default keeps the body in `lines`; any other consumer gets the header line
+    first, and nothing holds the body: reading it back raises ValueError."""
 
     def __init__(self, header: dict, consume: Callable[[str], None] | None = None):
         self.header = dict(header)
         self.lines: list[str] = []
         self._streamed = consume is not None
         self._consume = self.lines.append if consume is None else consume
+        if self._streamed:
+            consume(canonical_json(self.header))
         self._hash = hashlib.sha256()
 
     def add(self, obj: dict) -> None:
@@ -74,7 +76,8 @@ class Transcript:
             self._copy_to(fh, lines)
 
     def _copy_to(self, fh, lines: list[str]) -> None:
-        write_line = stream_to(fh, self.header)
+        write_line = line_writer(fh)
+        write_line(canonical_json(self.header))
         for line in lines:
             write_line(line)
 
@@ -88,11 +91,10 @@ class Transcript:
         return self.lines
 
 
-def stream_to(fh, header: dict) -> Callable[[str], None]:
-    """The file layout, in one place: write the header line to `fh` and return
-    the consumer that writes each body line after it. Line by line: the joined
-    text of a large run would set its peak memory."""
-    fh.write(canonical_json(header) + "\n")
+def line_writer(fh) -> Callable[[str], None]:
+    """The file layout, in one place: the consumer that writes each line to
+    `fh`, then "\n". Line by line: the joined text of a large run would set its
+    peak memory."""
 
     def write_line(line: str) -> None:
         fh.write(line)

@@ -270,8 +270,8 @@ def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch
     made = []
     run = harness._run
 
-    def recording_run(sc, sink=None):
-        result = run(sc, sink)
+    def recording_run(sc, consume=None):
+        result = run(sc, consume)
         made.append(result[0])
         return result
 

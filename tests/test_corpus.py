@@ -28,7 +28,9 @@ from swarmsim.agent import (
     PHASE_MONITORING,
     PHASE_SIGNING,
 )
-from swarmsim.harness import run_scenario_dict
+from swarmsim import cli
+from swarmsim.harness import EXIT_CODES, run_scenario_dict
+from swarmsim.ledger import HeightInPast
 from swarmsim.netsim import FAULT_CRASH, FAULT_KINDS, FAULT_WRONG_ROOT
 from swarmsim.scenario import MAX_SINGLE_AMOUNT
 
@@ -92,7 +94,7 @@ def corpus_scenario(index: int) -> dict:
 
 def corpus_entry(data: dict, consume=lambda line: None) -> dict:
     try:
-        _, report = run_scenario_dict(data, sink=lambda header: consume)
+        _, report = run_scenario_dict(data, consume=consume)
     except Exception as exc:  # a valid scenario that raises is pinned by class name
         return {"raises": type(exc).__name__}
     return {
@@ -189,6 +191,35 @@ def test_every_fraudulent_corpus_run_has_m_wrong_roots_that_share_a_victim(corpu
         )
         assert max(victims.values(), default=0) >= data["agents"]["m"], f"run {i}: {victims}"
     assert frauds
+
+
+def test_verify_accepts_every_tenth_corpus_run_and_rejects_each_flipped_bit(tmp_path):
+    """Through the CLI, as a third party would check a published run. A run
+    that raises is the known crash (ROADMAP item 1): m=1 and `HeightInPast`."""
+    accepted = raised = 0
+    for i in range(0, CORPUS_SIZE, 10):
+        data = corpus_scenario(i)
+        spath, tfile = (tmp_path / f"{i}.json").as_posix(), (tmp_path / f"{i}.jsonl").as_posix()
+        with open(spath, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        try:
+            assert cli.main(["run", spath, "--transcript", tfile]) in EXIT_CODES.values()
+        except HeightInPast:
+            assert data["agents"]["m"] == 1, f"run {i}"
+            raised += 1
+            continue
+        assert cli.main(["verify", tfile, spath]) == 0, f"run {i}"
+        accepted += 1
+        stored = Path(tfile).read_bytes()
+        rng = random.Random(f"swarmsim-corpus-flip/{i}")
+        # the first flip lands inside the header line, its "\n" excluded
+        for at in (rng.randrange(stored.index(b"\n")), *rng.sample(range(len(stored)), 2)):
+            flipped = bytearray(stored)
+            flipped[at] ^= 1 << rng.randrange(8)
+            bad = tmp_path / "flipped.jsonl"
+            bad.write_bytes(flipped)
+            assert cli.main(["verify", bad.as_posix(), spath]) == 1, f"run {i}, byte {at}"
+    assert accepted and raised
 
 
 if __name__ == "__main__":

@@ -336,9 +336,17 @@ def test_write_streams_the_transcript(tmp_path):
 def streamed_run():
     """The default scenario, its body streamed to a list; the transcript keeps none."""
     streamed = []
-    tr, _ = run_scenario_dict(build_scenario_dict(), sink=lambda header: streamed.append)
+    tr, _ = run_scenario_dict(build_scenario_dict(), consume=streamed.append)
     assert len(streamed) > 10 and tr.lines == []
     return tr
+
+
+def test_a_consumer_gets_the_header_line_then_every_body_line():
+    held, held_report = run_scenario_dict(build_scenario_dict())
+    got = []
+    _, report = run_scenario_dict(build_scenario_dict(), consume=got.append)
+    assert got == [canonical_json(held.header), *held.lines]
+    assert report.transcript_hash == held_report.transcript_hash
 
 
 def test_a_streamed_transcript_has_no_text():
