@@ -75,31 +75,23 @@ def aggregate(
     which resolves ties within a block by intra-block position.
     """
     lo, hi = window.start_height, window.end_height
-    totals: dict[bytes, int] = {}
-    first: dict[bytes, Contribution] = {}
+    bids: dict[bytes, AggregatedBid] = {}
     late: list[Contribution] = []
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     for tx in contribs:
         if not lo <= tx.block_height <= hi:
             late.append(tx)
             continue
         sender = tx.sender
-        total = totals.get(sender)
-        if total is None:
-            first[sender] = tx
-            total = tx.amount
-        else:
-            total += tx.amount
+        bid = bids.get(sender)
+        if bid is None:
+            total, height, tx_id = tx.amount, tx.block_height, tx.tx_id
+        else:  # the bid again, with the new total
+            total, height, tx_id = bid.total + tx.amount, bid.first_height, bid.first_tx
         if total >= AMOUNT_LIMIT:
             raise ArithmeticOverflow(f"aggregate for {sender.hex()} overflows 16 bytes")
-        totals[sender] = total
-    # Both dicts gain a sender at the same step, so they list senders in one
-    # order. tuple.__new__ skips the NamedTuple's Python-level __new__.
-    new = tuple.__new__
-    bids = [
-        new(AggregatedBid, (sender, total, tx.block_height, tx.tx_id))
-        for (sender, total), tx in zip(totals.items(), first.values())
-    ]
-    return bids, late
+        bids[sender] = new(AggregatedBid, (sender, total, height, tx_id))
+    return list(bids.values()), late
 
 
 def canonical_sort(bids: list[AggregatedBid]) -> list[AggregatedBid]:
@@ -147,7 +139,7 @@ def build_settlement(
     )
 
 
-def encode_settlement(tx: SettlementTx) -> bytes:
+def encode_settlement(tx: SettlementTx) -> bytearray:
     """Canonical byte encoding, the sole input to the settlement digest.
 
     Layout: auction_id (32) || for each section in (mints=0x01,
@@ -172,7 +164,7 @@ def encode_settlement(tx: SettlementTx) -> bytes:
         out += struct.pack(">I", len(entries))
         encode_entries(out, entries)
     out += _NONCE
-    return bytes(out)
+    return out
 
 
 def encode_entries(out: bytearray, entries) -> bytearray:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import harness, scenario, transcript
+from . import harness, scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
     out = _replace_on_success(path) if path else open(os.devnull, "w", encoding="utf-8")
     kept = _replace_on_success(args.report) if args.report else contextlib.nullcontext()
     with out as fh, kept as report_fh:
-        report = harness._run(sc, transcript.line_writer(fh))[1]
+        report = harness._run(sc, fh.write)[1]
         if report_fh is not None:
             json.dump(report.to_dict(), report_fh, indent=2)
             report_fh.write("\n")

@@ -5,19 +5,19 @@ The runner wires ledger + agents + network for a parsed scenario (see
 scenario.py), executes to quiescence, then classifies the outcome against an
 oracle that re-derives the expected settlement straight from the scenario
 inputs through its own tx-id encoding, aggregation and selection code.
-Verification replays a scenario and compares each replayed line with the
-stored one as it is added, stopping at the first divergence; the header is
-line 1, compared through the same path as every other line.
+Verification replays a scenario and compares the text of each replayed line
+with as many stored characters as it is added, stopping at the first
+divergence; the header is line 1, compared through the same path as every
+other line, and the settlement line is compared in the pieces it is built
+in, so no stored line is read whole.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import heapq
 import json
-from collections.abc import Callable
-from itertools import chain, repeat
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from . import netsim, wallet
@@ -60,14 +60,14 @@ def oracle_settlement(sc: Scenario) -> tuple[SettlementTx, int]:
     type is shared with the engine.
     """
     # height and sequence as one 16-byte int: the two 8-byte fields side by side
-    contribs = [
+    contribs = (
         (address, amount, height, hashlib.sha256(
             address + amount.to_bytes(16, "big") + (height << 64 | seq).to_bytes(16, "big")
         ).digest())
         for seq, (address, amount, height) in enumerate(
             sorted(sc.bidders, key=lambda entry: entry.height)
         )
-    ]
+    )
     return oracle_from_contributions(
         derive_auction_id(sc.seed), sc.n_items, sc.window, contribs
     )
@@ -77,24 +77,26 @@ def oracle_from_contributions(
     auction_id: bytes,
     n_items: int,
     window: FundingWindow,
-    contribs: list[tuple[bytes, int, int, bytes]],
+    contribs: Iterable[tuple[bytes, int, int, bytes]],
 ) -> tuple[SettlementTx, int]:
     """Contributions are (sender, amount, height, tx_id) in ledger order."""
-    totals: dict[bytes, int] = {}
-    first: dict[bytes, tuple[int, bytes]] = {}
+    # One rank list [-total, first height, first tx id, address] per sender,
+    # its total folded in place. Ranks order bids best first, compared as
+    # tuples are; addresses are distinct, so no two ranks tie.
+    ranks: dict[bytes, list] = {}
     outside: list[tuple[bytes, int]] = []
     lo, hi = window.start_height, window.end_height
     for sender, amount, height, tx_id in contribs:
         if lo <= height <= hi:
-            totals[sender] = totals.get(sender, 0) + amount
-            if sender not in first:
-                first[sender] = (height, tx_id)
+            rank = ranks.get(sender)
+            if rank is None:
+                ranks[sender] = [-amount, height, tx_id, sender]
+            else:
+                rank[0] -= amount
         else:
             outside.append((sender, amount))
-
-    # Rank tuples (-total, first height, first tx id, address) order bids
-    # best first; addresses are distinct, so no two ranks tie.
-    heap = [(-total, *first[sender], sender) for sender, total in totals.items()]
+    heap = list(ranks.values())
+    del ranks  # not held through the selection
     heapq.heapify(heap)
     winners = [heapq.heappop(heap) for _ in range(min(n_items, len(heap)))]
     price = -winners[-1][0] if winners else 0
@@ -161,7 +163,8 @@ def run_scenario_dict(
     data: dict, raw: bytes | None = None, consume: Callable[[str], None] | None = None
 ) -> tuple[Transcript, RunReport]:
     """Run and classify. Without `consume` the returned transcript keeps its
-    body lines; with it, every line, the header first, goes to `consume`."""
+    body lines; with it, the transcript's text goes to `consume` as it is
+    made, the header line first (see `Transcript`)."""
     if raw is None:
         raw = canonical_json(data).encode("utf-8")
     sc = parse_scenario(data, raw)
@@ -324,47 +327,43 @@ class VerifyResult(NamedTuple):
 
 
 class _Diverged(Exception):
-    """Raised by verify's line consumer to stop the replay at the first
+    """Raised by verify's consumer to stop the replay at the first
     divergence; carries the verdict."""
 
 
-def _divergence(line_number: int, stored: str | None, expected: str | None) -> VerifyResult:
-    """`stored` is the line as `load_lines` yields it; a last line that lost its
-    "\n" is shown with a note, since its text alone can equal the replayed line."""
-    if stored is None:
+def _divergence(
+    line_number: int, at_start: bool, stored: str, ended: bool, expected: str | None
+) -> VerifyResult:
+    """`stored` is the stored text from where the replayed text `expected`
+    starts (at a line's start or inside it) through the end of its line, or
+    of the file where it `ended`. A stored line that lost its "\n" is shown
+    with a note, since its text alone can equal the replayed line; None for
+    `expected` is a stored line past the replay's end."""
+    cut = stored.find("\n")
+    if cut >= 0:
+        got = stored[:cut]
+    elif at_start and not stored:
         got = "<missing line>"
-    elif stored.endswith("\n"):
-        got = stored[:-1]
     else:
-        got = stored + "<no final newline>"
+        got = stored + "<no final newline>" if ended else stored
     return VerifyResult(
         False,
         "divergence",
         line_number=line_number,
         got=got,
-        expected="<missing line>" if expected is None else expected,
-    )
-
-
-def _written_as(stored: str | None, line: str) -> bool:
-    """Whether `stored`, a line as `load_lines` yields it, holds the bytes `run`
-    writes for `line`: the line, then "\n". Compared in place: neither line is
-    copied, and the settlement line of a large run is megabytes long."""
-    return (
-        stored is not None
-        and len(stored) == len(line) + 1
-        and stored.endswith("\n")
-        and stored.startswith(line)
+        expected="<missing line>" if expected is None else expected.removesuffix("\n"),
     )
 
 
 def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
-    """Replay the scenario, comparing each replayed line with the next stored
-    line as it is added; the replay stops at the first divergence."""
+    """Replay the scenario, comparing each piece of replayed text with the
+    stored text as it is added; the replay stops at the first divergence."""
     data, raw_scn = load_scenario(scenario_path)
-    with contextlib.closing(load_lines(transcript_path)) as stored:
+    with load_lines(transcript_path) as fh:
         try:
-            header_line = next(stored)
+            header_line = fh.readline()
+            if not header_line:
+                raise ValueError("empty transcript file")
             header = json.loads(header_line)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
@@ -388,22 +387,31 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
             return VerifyResult(False, "header_mismatch")
 
         # The checks above compare values (True == 1, 7.0 == 7); `compare` then
-        # compares the bytes of every line as `run` writes them, the header first.
-        # None stands for every line past the stored end.
-        numbered = enumerate(chain([header_line], stored, repeat(None)), start=1)
+        # compares the bytes `run` writes, from the header line on. It reads as
+        # many stored characters as each replayed text holds: a whole line with
+        # its "\n", or a piece of the settlement line, which is never read whole.
+        fh.seek(0)
+        line_number, at_start = 1, True
 
-        def compare(expected: str) -> None:
-            line_number, got = next(numbered)
-            if not _written_as(got, expected):
-                raise _Diverged(_divergence(line_number, got, expected))
+        def compare(text: str) -> None:
+            nonlocal line_number, at_start
+            stored = fh.read(len(text))
+            if stored != text:
+                whole = at_start and text.endswith("\n")
+                if whole and "\n" not in stored:
+                    stored += fh.readline()  # the rest of the stored line
+                ended = "\n" not in stored and (whole or len(stored) < len(text))
+                raise _Diverged(_divergence(line_number, at_start, stored, ended, text))
+            at_start = text.endswith("\n")
+            line_number += at_start
 
         try:
             outcome = _run(sc, compare)[1].outcome
-            line_number, extra = next(numbered)
+            extra = fh.readline()
         except _Diverged as exc:
             return exc.args[0]
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"transcript not parseable: {exc}") from exc
-    if extra is not None:
-        return _divergence(line_number, extra, None)
+    if extra:
+        return _divergence(line_number, True, extra, not extra.endswith("\n"), None)
     return VerifyResult(True, "ok", outcome=outcome)

@@ -39,6 +39,7 @@ from .ledger import (
     FUNDING_RECEIVED,
     AlreadySettled,
     BadSignatureBundle,
+    InsufficientBalance,
     Ledger,
     checked,
 )
@@ -239,15 +240,14 @@ def _refund_items(refunds) -> str:
     return ",".join(['["%s","%d"]' % (addr.hex(), amt) for addr, amt in refunds])
 
 
-def _settlement_line(h: int, i: int, r) -> str:
-    """The settlement line as canonical JSON: sorted keys, hex and decimal
-    values. Each array is filled `_SLICE` items at a time, so one slice of hex
-    strings is alive at a time, never the whole batch; the pieces are joined
-    once, at the end: joining each array first would copy it once more."""
+def _settlement_pieces(h: int, i: int, r):
+    """The settlement line as canonical JSON, in pieces: sorted keys, hex and
+    decimal values. Each array comes `_SLICE` items to a piece, so one slice
+    of hex strings is alive at a time, never the whole batch."""
     tx = r.tx
-    parts = ['{"auction_id":"%s","digest":"%s","full_refund_total":"%d","full_refunds":[' % (
+    yield '{"auction_id":"%s","digest":"%s","full_refund_total":"%d","full_refunds":[' % (
         tx.auction_id.hex(), r.digest.hex(), r.full_refund_total
-    )]
+    )
     for rows, items, tail in (
         (tx.full_refunds, _refund_items,
          '],"h":%d,"i":%d,"kind":"settlement_executed","mint_count":%d,"mints":['
@@ -258,10 +258,9 @@ def _settlement_line(h: int, i: int, r) -> str:
     ):
         for n in range(0, len(rows), _SLICE):
             if n:
-                parts.append(",")
-            parts.append(items(rows[n:n + _SLICE]))
-        parts.append(tail)
-    return "".join(parts)
+                yield ","
+            yield items(rows[n:n + _SLICE])
+        yield tail
 
 
 # -- the driver -------------------------------------------------------------------
@@ -370,7 +369,7 @@ class Simulation:
             elif kind == BLOCK_SEALED:
                 add_line(_BLOCK_LINE % (height, index, len(payload)))
             else:
-                add_line(_settlement_line(height, index, payload))
+                self.transcript.add_pieces(_settlement_pieces(height, index, payload))
             for i, handle in enumerate(handlers):
                 actions = handle(ev, now)
                 if actions:
@@ -424,7 +423,7 @@ class Simulation:
         self.counts["submits"] += 1
         try:
             self.ledger.execute_settlement(act.tx, list(act.shares))
-        except (AlreadySettled, BadSignatureBundle) as exc:
+        except (AlreadySettled, BadSignatureBundle, InsufficientBalance) as exc:
             self.transcript.add(
                 {
                     "t": now,

@@ -3,7 +3,10 @@
 A transcript is one header line followed by one line per recorded event.
 Lines are canonical JSON (sorted keys, no whitespace, ASCII) so equal runs
 produce byte-equal files. The transcript hash covers every byte after the
-header line; an empty body hashes to SHA-256 of nothing.
+header line; an empty body hashes to SHA-256 of nothing. A run can stream
+its text to a sink as it goes, such as the file's `write`; a line given in
+pieces, as the settlement line of a large run is, reaches it in those
+pieces and is never joined.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from itertools import chain
 
 SCHEMA_VERSION = 1
 
@@ -40,16 +44,18 @@ def canonical_json(obj) -> str:
 
 class Transcript:
     """Hashes each body line as it is added and hands it to one consumer. The
-    default keeps the body in `lines`; any other consumer gets the header line
-    first, and nothing holds the body: reading it back raises ValueError."""
+    default keeps the body in `lines`, each line without its "\n". Any other
+    consumer is a text sink, such as a file's `write`: what it gets
+    concatenates to the file byte for byte, the header line first, then each
+    body line with its "\n" in one call, and nothing holds the body: reading
+    it back raises ValueError."""
 
     def __init__(self, header: dict, consume: Callable[[str], None] | None = None):
         self.header = dict(header)
         self.lines: list[str] = []
-        self._streamed = consume is not None
-        self._consume = self.lines.append if consume is None else consume
-        if self._streamed:
-            consume(canonical_json(self.header))
+        self._consume = consume
+        if consume is not None:
+            consume(canonical_json(self.header) + "\n")
         self._hash = hashlib.sha256()
 
     def add(self, obj: dict) -> None:
@@ -57,10 +63,26 @@ class Transcript:
 
     def add_line(self, line: str) -> None:
         """Add a body line already encoded as canonical JSON."""
-        # two updates: concatenating first would copy every line once more
-        self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
-        self._consume(line)
+        if self._consume is None:
+            # two updates: concatenating first would copy every line once more
+            self._hash.update(line.encode("utf-8"))
+            self._hash.update(b"\n")
+            self.lines.append(line)
+        else:
+            text = line + "\n"
+            self._hash.update(text.encode("utf-8"))
+            self._consume(text)
+
+    def add_pieces(self, pieces: Iterable[str]) -> None:
+        """Add a body line given as the consecutive pieces of its canonical
+        JSON. A held line is joined once; a streamed one never is: each piece
+        is hashed and handed on as it comes, then the line's "\n"."""
+        if self._consume is None:
+            self.add_line("".join(pieces))
+            return
+        for text in chain(pieces, ("\n",)):
+            self._hash.update(text.encode("utf-8"))
+            self._consume(text)
 
     def body_hash(self) -> bytes:
         return self._hash.digest()
@@ -76,45 +98,26 @@ class Transcript:
             self._copy_to(fh, lines)
 
     def _copy_to(self, fh, lines: list[str]) -> None:
-        write_line = line_writer(fh)
-        write_line(canonical_json(self.header))
-        for line in lines:
-            write_line(line)
+        """The file layout: each line, the header first, then "\n"."""
+        for line in chain([canonical_json(self.header)], lines):
+            fh.write(line)
+            fh.write("\n")
 
     def iter_events(self):
         for line in self._held_lines():
             yield json.loads(line)
 
     def _held_lines(self) -> list[str]:
-        if self._streamed:
+        if self._consume is not None:
             raise ValueError("the transcript body was streamed, not held")
         return self.lines
 
 
-def line_writer(fh) -> Callable[[str], None]:
-    """The file layout, in one place: the consumer that writes each line to
-    `fh`, then "\n". Line by line: the joined text of a large run would set its
-    peak memory."""
-
-    def write_line(line: str) -> None:
-        fh.write(line)
-        fh.write("\n")
-
-    return write_line
-
-
-def load_lines(path: str):
-    """Yield each line exactly as stored, the header line first, with its "\n"
-    if it has one, one read at a time; closing the generator closes the file.
-    Only "\n" ends a line, so a "\r" stays in its line, and only the last line
-    can lack its "\n". Raises ValueError when the file is empty or a line is
-    not UTF-8."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError("empty transcript file")
-        yield first
-        yield from fh
+def load_lines(path: str) -> io.TextIOWrapper:
+    """Open a stored transcript to read it exactly as stored: UTF-8, and only
+    "\n" ends a line, so a "\r" stays in its line. Reading raises ValueError
+    where the file is not UTF-8."""
+    return open(path, "r", encoding="utf-8", newline="\n")
 
 
 def hash_body_lines(body_lines: list[str]) -> bytes:

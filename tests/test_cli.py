@@ -266,6 +266,33 @@ def test_verify_bad_utf8_past_the_first_read_is_a_schema_mismatch(tmp_path, caps
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.golden_matrix
+@pytest.mark.parametrize("cut", [False, True], ids=["edited", "cut"])
+def test_verify_reports_a_divergence_inside_the_streamed_settlement_line(tmp_path, capsys, cut):
+    # the settlement line is compared a piece at a time, never read whole, and
+    # the report shows the pieces where the stored text differs
+    tfile, spath = stored_run(tmp_path, bidders=3000, items=2000)
+    raw = tfile.read_bytes()
+    start = raw.index(b'{"auction_id"')
+    end = raw.index(b"\n", start)
+    line = raw.count(b"\n", 0, start) + 1
+    at = raw.index(b'["', (start + end) // 2) + 2  # a hex digit of an address
+    if cut:
+        tfile.write_bytes(raw[:at])
+    else:
+        tfile.write_bytes(raw[:at] + (b"0" if raw[at] != ord("0") else b"1") + raw[at + 1 :])
+    capsys.readouterr()
+    assert cli.main(["verify", tfile.as_posix(), spath]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("reject: divergence\n")
+    assert f"first divergence at line {line}\n" in out
+    stored = out.split("  stored:   ", 1)[1].split("\n", 1)[0]
+    replayed = out.split("  replayed: ", 1)[1].split("\n", 1)[0]
+    assert len(out) < end - start
+    assert stored != replayed and stored.endswith("<no final newline>") == cut
+    assert raw[start:end].decode("utf-8").find(replayed) > 0
+
+
 def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch, capsys):
     made = []
     run = harness._run

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
-from swarmsim import auction, cli, harness, scenario, wallet
+from swarmsim import auction, cli, commitment, harness, scenario, wallet
 from swarmsim.harness import (
     SchemaMismatch,
     _build_report,
@@ -22,6 +22,7 @@ from swarmsim.harness import (
     verify_transcript,
 )
 from swarmsim.ledger import (
+    FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
     FundingWindow,
     HeightInPast,
@@ -345,7 +346,16 @@ def test_a_consumer_gets_the_header_line_then_every_body_line():
     held, held_report = run_scenario_dict(build_scenario_dict())
     got = []
     _, report = run_scenario_dict(build_scenario_dict(), consume=got.append)
-    assert got == [canonical_json(held.header), *held.lines]
+    # each line with its "\n" in one call, but the settlement line, which
+    # arrives in pieces and then its "\n"
+    settled = next(n for n, line in enumerate(held.lines) if '"settlement_executed"' in line)
+    whole = [canonical_json(held.header), *held.lines]
+    pieces = len(got) - len(whole) + 1
+    assert pieces > 2
+    assert got[: settled + 1] == [line + "\n" for line in whole[: settled + 1]]
+    assert "".join(got[settled + 1 : settled + 1 + pieces]) == whole[settled + 1] + "\n"
+    assert got[settled + pieces] == "\n"
+    assert got[settled + 1 + pieces :] == [line + "\n" for line in whole[settled + 2 :]]
     assert report.transcript_hash == held_report.transcript_hash
 
 
@@ -415,6 +425,58 @@ def test_the_settlement_line_is_written_in_three_times_its_length():
     (line,) = tr.lines
     assert len(json.loads(line)["full_refunds"]) == 6_000
     assert peak <= 3 * len(line)
+
+
+def large_scenario():
+    """20,000 pareto bidders, two thirds of them winners: a settlement line of
+    about 1.6 MB."""
+    return build_scenario_dict(seed=1, bidders=20_000, items=13_333, dist="pareto:1000,1.5")
+
+
+def traced_peak(fn):
+    """The tracemalloc peak of `fn()`, counted from the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.golden_matrix
+def test_the_oracle_peaks_no_higher_than_one_agents_clearing():
+    # the oracle derives its own tx ids and ranks, yet holds no more than an
+    # agent that clears over contributions the ledger already made
+    data = large_scenario()
+    sc = parse_scenario(data, canonical_json(data).encode("utf-8"))
+    ledger = Ledger(MultisigPolicy(agent_keys=(bytes(32),), m=1))  # never settles
+    for b in sorted(sc.bidders, key=lambda entry: entry.height):
+        ledger.submit_funding(b.address, b.amount, b.height)
+    while ledger.next_height <= sc.window.end_height:
+        ledger.seal_block()
+    contribs = [ev.payload for ev in ledger.events if ev.kind == FUNDING_RECEIVED]
+    cfg = auction.AuctionConfig(sc.n_items, sc.window, derive_auction_id(sc.seed))
+
+    def clear():
+        bids, late = auction.aggregate(contribs, sc.window)
+        ranked, price = auction.compute_clearing(cfg, bids)
+        commitment.bid_list_root(ranked)
+        return auction.hash_settlement(auction.build_settlement(cfg, ranked, price, late))
+
+    oracle_tx, _ = harness.oracle_settlement(sc)
+    assert wallet.settlement_digest(oracle_tx) == clear()[0]
+    assert traced_peak(lambda: harness.oracle_settlement(sc)) <= traced_peak(clear)
+
+
+@pytest.mark.golden_matrix
+def test_a_streamed_run_hands_on_the_settlement_line_in_bounded_pieces():
+    held, held_report = run_scenario_dict(large_scenario())
+    pieces = []
+    _, report = run_scenario_dict(large_scenario(), consume=pieces.append)
+    assert max(len(line) for line in held.lines) > 1_000_000
+    assert max(len(piece) for piece in pieces) <= 256 * 1024
+    assert "".join(pieces) == held.text()
+    assert report.transcript_hash == held_report.transcript_hash
 
 
 @pytest.mark.golden_matrix

@@ -35,7 +35,7 @@ from swarmsim.transcript import Transcript
 from swarmsim.wallet import MultisigPolicy
 from test_agent import deliver_ledger, exchange_attestations, funded_ledger, make_world
 from test_consensus import ANY_MESSAGE, body_object, dumps
-from test_ledger import settle_simple
+from test_ledger import A, B, make_policy, settle_simple, sign_tx
 
 # The policy of a ledger that only grows a chain: no test here settles on it.
 CHAIN_ONLY = MultisigPolicy(agent_keys=(bytes(32),), m=1)
@@ -559,4 +559,27 @@ def test_a_below_threshold_submit_is_logged_as_rejected():
         {"agent": 0, "error": "BadSignatureBundle", "event": "submit_rejected", "t": 5},
         _submit_line(6, digest, [0]),
         {"agent": 0, "error": "BadSignatureBundle", "event": "submit_rejected", "t": 6},
+    ]
+
+
+def test_an_overdrawing_submit_is_logged_as_rejected():
+    # a quorum signed refunds beyond the balance: the ledger refuses the
+    # bundle before it changes anything, and the run goes on
+    keys, policy = make_policy()
+    led = Ledger(policy)
+    led.submit_funding(A, 5, 0)
+    led.seal_block()
+    tx = auction.SettlementTx(b"\x01" * 32, (A,), (), ((B, 6),))
+    tr = Transcript({"schema_version": 1})
+    sim = Simulation(
+        ledger=led, agents=[], submissions={}, last_height=0, net=NetConfig(),
+        max_time=50, transcript=tr,
+    )
+    digest = wallet.settlement_digest(tx)
+    act = SubmitSettlement(tx=tx, digest=digest, shares=tuple(sign_tx(tx, keys, range(2))))
+    sim._exec(0, [act], 5)
+    assert led.receipt is None and led.balance == 5
+    assert [json.loads(line) for line in tr.lines] == [
+        _submit_line(5, digest.hex(), [0, 1]),
+        {"agent": 0, "error": "InsufficientBalance", "event": "submit_rejected", "t": 5},
     ]
