@@ -213,7 +213,7 @@ def _run(
         "seed": sc.seed,
         "prng": "mt19937",
         "sig_scheme": wallet.SIG_SCHEME,
-        "scenario_hash": hashlib.sha256(sc.raw_bytes).hexdigest(),
+        "scenario_hash": sc.scenario_hash,
     }
     tr = Transcript(header, consume)
     sim = Simulation(
@@ -228,7 +228,6 @@ def _run(
     sim.run()
 
     receipt = ledger.receipt
-    settlements = int(receipt is not None)
     aborted = any(a.phase == PHASE_ABORTED for a in agents)
     rounds_used = max((a.round + 1 for a in agents), default=0)
     counts, inflow, max_time_exceeded = sim.counts, sim.inflow, sim.max_time_exceeded
@@ -243,12 +242,12 @@ def _run(
         {
             "event": "run_outcome",
             "outcome": outcome,
-            "settlements": settlements,
+            "settlements": int(receipt is not None),
             "max_time_exceeded": max_time_exceeded,
         }
     )
     return tr, _build_report(
-        tr, outcome, receipt, settlements, rounds_used, oracle_tx,
+        tr, outcome, receipt, rounds_used, oracle_tx,
         oracle_price, oracle_digest, counts, inflow, max_time_exceeded,
     )
 
@@ -267,7 +266,6 @@ def _build_report(
     tr: Transcript,
     outcome: str,
     receipt: SettlementReceipt | None,
-    settlements: int,
     rounds_used: int,
     oracle_tx: SettlementTx,
     oracle_price: int,
@@ -307,7 +305,7 @@ def _build_report(
         executed=executed,
         message_counts=message_counts,
         rounds_used=rounds_used,
-        on_chain_tx_count=settlements,
+        on_chain_tx_count=int(receipt is not None),
         transcript_hash=tr.body_hash().hex(),
         max_time_exceeded=max_time_exceeded,
         conservation_ok=conservation_ok,

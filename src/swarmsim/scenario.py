@@ -98,7 +98,7 @@ class Scenario(NamedTuple):
     net: NetConfig
     rounds: RoundConfig
     max_time: int
-    raw_bytes: bytes
+    scenario_hash: str  # SHA-256 hex of the file's bytes, which are not held
 
 
 def _parse_amount(value, path: str, problems: list[str]) -> int:
@@ -199,7 +199,8 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
 
     Every field is read and checked as a plain value first; the config
     objects are built only once no problem was found. Raises InvalidScenario
-    carrying one diagnostic per problem found.
+    carrying one diagnostic per problem found. `raw`, the bytes `data` was
+    read from, is kept only as its hash.
     """
     if not isinstance(data, dict):
         raise InvalidScenario(["scenario: must be a JSON object"])
@@ -401,7 +402,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
         ),
         rounds=RoundConfig(r_max=r_max, round_timeout=timeout),
         max_time=max_time,
-        raw_bytes=raw,
+        scenario_hash=hashlib.sha256(raw).hexdigest(),
     )
 
 

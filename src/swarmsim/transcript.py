@@ -3,19 +3,19 @@
 A transcript is one header line followed by one line per recorded event.
 Lines are canonical JSON (sorted keys, no whitespace, ASCII) so equal runs
 produce byte-equal files. The transcript hash covers every byte after the
-header line; an empty body hashes to SHA-256 of nothing. A run can stream
-its text to a sink as it goes, such as the file's `write`; a line given in
+header line; an empty body hashes to SHA-256 of nothing. A run hands its
+text to one sink as it goes, such as the file's `write`; a line given in
 pieces, as the settlement line of a large run is, reaches it in those
-pieces and is never joined.
+pieces and is never joined. Holding the body is one more sink: a list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from collections.abc import Callable, Iterable
 from itertools import chain
+from typing import TextIO
 
 SCHEMA_VERSION = 1
 
@@ -43,19 +43,19 @@ def canonical_json(obj) -> str:
 
 
 class Transcript:
-    """Hashes each body line as it is added and hands it to one consumer. The
-    default keeps the body in `lines`, each line without its "\n". Any other
-    consumer is a text sink, such as a file's `write`: what it gets
-    concatenates to the file byte for byte, the header line first, then each
-    body line with its "\n" in one call, and nothing holds the body: reading
-    it back raises ValueError."""
+    """Hashes each body line as it is added and hands its text to one sink,
+    such as a file's `write`: what the sink gets concatenates to the file byte
+    for byte, the header line first, then each body line with its "\n" in one
+    call, or a line given in pieces as those pieces and then its "\n". Without
+    a sink the transcript keeps that text in a list, and reads the body back
+    from it; a streamed body is held nowhere, and reading it raises
+    ValueError."""
 
     def __init__(self, header: dict, consume: Callable[[str], None] | None = None):
         self.header = dict(header)
-        self.lines: list[str] = []
-        self._consume = consume
-        if consume is not None:
-            consume(canonical_json(self.header) + "\n")
+        self._kept: list[str] | None = [] if consume is None else None
+        self._consume = consume or self._kept.append  # the list's method, not self's
+        self._consume(canonical_json(self.header) + "\n")
         self._hash = hashlib.sha256()
 
     def add(self, obj: dict) -> None:
@@ -63,23 +63,14 @@ class Transcript:
 
     def add_line(self, line: str) -> None:
         """Add a body line already encoded as canonical JSON."""
-        if self._consume is None:
-            # two updates: concatenating first would copy every line once more
-            self._hash.update(line.encode("utf-8"))
-            self._hash.update(b"\n")
-            self.lines.append(line)
-        else:
-            text = line + "\n"
-            self._hash.update(text.encode("utf-8"))
-            self._consume(text)
+        text = line + "\n"
+        self._hash.update(text.encode("utf-8"))
+        self._consume(text)
 
     def add_pieces(self, pieces: Iterable[str]) -> None:
         """Add a body line given as the consecutive pieces of its canonical
-        JSON. A held line is joined once; a streamed one never is: each piece
-        is hashed and handed on as it comes, then the line's "\n"."""
-        if self._consume is None:
-            self.add_line("".join(pieces))
-            return
+        JSON. It is never joined: each piece is hashed and handed on as it
+        comes, then the line's "\n"."""
         for text in chain(pieces, ("\n",)):
             self._hash.update(text.encode("utf-8"))
             self._consume(text)
@@ -87,33 +78,30 @@ class Transcript:
     def body_hash(self) -> bytes:
         return self._hash.digest()
 
+    @property
+    def lines(self) -> list[str]:
+        """The held body, one string per line without its "\n"."""
+        return self.text().split("\n")[1:-1]
+
     def text(self) -> str:
-        buf = io.StringIO()
-        self._copy_to(buf, self._held_lines())
-        return buf.getvalue()
+        return "".join(self._held())
 
     def write(self, path: str) -> None:
-        lines = self._held_lines()  # checked first, so a streamed body writes no file
+        kept = self._held()  # checked first, so a streamed body writes no file
         with open(path, "w", encoding="utf-8") as fh:
-            self._copy_to(fh, lines)
-
-    def _copy_to(self, fh, lines: list[str]) -> None:
-        """The file layout: each line, the header first, then "\n"."""
-        for line in chain([canonical_json(self.header)], lines):
-            fh.write(line)
-            fh.write("\n")
+            fh.writelines(kept)
 
     def iter_events(self):
-        for line in self._held_lines():
+        for line in self.lines:
             yield json.loads(line)
 
-    def _held_lines(self) -> list[str]:
-        if self._consume is not None:
+    def _held(self) -> list[str]:
+        if self._kept is None:
             raise ValueError("the transcript body was streamed, not held")
-        return self.lines
+        return self._kept
 
 
-def load_lines(path: str) -> io.TextIOWrapper:
+def load_lines(path: str) -> TextIO:
     """Open a stored transcript to read it exactly as stored: UTF-8, and only
     "\n" ends a line, so a "\r" stays in its line. Reading raises ValueError
     where the file is not UTF-8."""

@@ -310,7 +310,9 @@ def test_run_streams_the_transcript_and_keeps_no_body_line(tmp_path, monkeypatch
     assert capsys.readouterr().out == with_file
     assert "transcript hash: " in with_file
     filed, unfiled = made
-    assert filed.lines == [] and unfiled.lines == []
+    for tr in (filed, unfiled):
+        with pytest.raises(ValueError, match="streamed"):
+            tr.lines
     body = tfile.read_bytes().split(b"\n", 1)[1]
     assert body.count(b"\n") > 10
     assert filed.body_hash() == unfiled.body_hash() == hashlib.sha256(body).digest()

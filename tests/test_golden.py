@@ -216,7 +216,7 @@ def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
     # a line whose event has no queue of its own is an agent's log line
     made = {kind: deque() for kind in
             ("ledger", "log", "peer_send", "peer_deliver", "timer_set", "timer_fire")}
-    add, add_line = Transcript.add, Transcript.add_line
+    add, add_line, add_pieces = Transcript.add, Transcript.add_line, Transcript.add_pieces
     ledger_init, sim_init, execute = Ledger.__init__, Simulation.__init__, Simulation._exec
 
     class RecordingLog(deque):
@@ -278,11 +278,16 @@ def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
         added.append(pending.pop() if pending else None)
         add_line(self, line)
 
+    def recording_add_pieces(self, pieces):  # the settlement line
+        added.append(None)
+        add_pieces(self, pieces)
+
     monkeypatch.setattr(Ledger, "__init__", recording_ledger_init)
     monkeypatch.setattr(Simulation, "__init__", recording_sim_init)
     monkeypatch.setattr(Simulation, "_exec", recording_exec)
     monkeypatch.setattr(Transcript, "add", recording_add)
     monkeypatch.setattr(Transcript, "add_line", recording_add_line)
+    monkeypatch.setattr(Transcript, "add_pieces", recording_add_pieces)
     tr, report = run_scenario_dict(GOLDEN[name][0]())
     assert len(added) == len(tr.lines) > 0 and pending == []
 

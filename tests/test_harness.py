@@ -318,8 +318,9 @@ def test_the_ledger_holds_no_event_after_the_simulation(monkeypatch):
     assert held == [0]
 
 
+@pytest.mark.golden_matrix
 def test_write_streams_the_transcript(tmp_path):
-    # the file is written line by line, never joined into one string
+    # the file is written from the held pieces, never joined into one string
     tr, _ = run_scenario_dict(build_scenario_dict(seed=21, bidders=20000, items=13333))
     path = tmp_path / "t.jsonl"
     body = sum(len(line) + 1 for line in tr.lines)
@@ -335,10 +336,11 @@ def test_write_streams_the_transcript(tmp_path):
 
 
 def streamed_run():
-    """The default scenario, its body streamed to a list; the transcript keeps none."""
+    """The default scenario, its body streamed to a list; the transcript keeps
+    none. Reading it back here would raise the error the callers expect."""
     streamed = []
     tr, _ = run_scenario_dict(build_scenario_dict(), consume=streamed.append)
-    assert len(streamed) > 10 and tr.lines == []
+    assert len(streamed) > 10
     return tr
 
 
@@ -359,21 +361,18 @@ def test_a_consumer_gets_the_header_line_then_every_body_line():
     assert report.transcript_hash == held_report.transcript_hash
 
 
-def test_a_streamed_transcript_has_no_text():
-    with pytest.raises(ValueError, match="streamed"):
-        streamed_run().text()
-
-
-def test_a_streamed_transcript_writes_no_file(tmp_path):
+@pytest.mark.parametrize("read", [
+    lambda tr, path: tr.lines,
+    lambda tr, path: tr.text(),
+    lambda tr, path: tr.write(path.as_posix()),
+    lambda tr, path: next(tr.iter_events()),
+], ids=["lines", "text", "write", "iter_events"])
+def test_a_streamed_transcript_refuses_to_read_its_body(tmp_path, read):
+    tr = streamed_run()
     path = tmp_path / "t.jsonl"
     with pytest.raises(ValueError, match="streamed"):
-        streamed_run().write(path.as_posix())
+        read(tr, path)
     assert not path.exists()
-
-
-def test_a_streamed_transcript_has_no_events_to_iterate():
-    with pytest.raises(ValueError, match="streamed"):
-        next(streamed_run().iter_events())
 
 
 def test_verify_holds_little_more_than_the_run_it_replays(tmp_path):
@@ -832,14 +831,15 @@ def test_conservation_fails_when_the_receipt_misses_inflow():
 
     def report(inflow, receipt=receipt):
         return _build_report(
-            Transcript({}), "SETTLED_CORRECT", receipt, 1, 0, tx, price, digest,
+            Transcript({}), "SETTLED_CORRECT", receipt, 0, tx, price, digest,
             {}, inflow, False,
         )
 
-    assert report(10).conservation_ok
+    assert report(10).conservation_ok and report(10).on_chain_tx_count == 1
     assert not report(11).conservation_ok
     assert not report(9).conservation_ok
-    assert report(11, receipt=None).conservation_ok  # nothing settled, nothing to conserve
+    unsettled = report(11, receipt=None)  # nothing settled, nothing to conserve
+    assert unsettled.conservation_ok and unsettled.on_chain_tx_count == 0
 
 
 @pytest.mark.xfail(

@@ -8,6 +8,7 @@ Each expects the full problem list, in order.
 """
 
 import copy
+import hashlib
 import json
 import math
 
@@ -391,6 +392,13 @@ def test_valid_bases_parse():
     assert len(parse_scenario(GENERATED, b"").bidders) == 12
     sc = parse_scenario(EXPLICIT, b"")
     assert [(b.amount, b.height) for b in sc.bidders] == [(5, 1), (7, 2)]
+
+
+def test_a_scenario_holds_the_hash_of_its_bytes_not_the_bytes():
+    raw = json.dumps(EXPLICIT).encode("utf-8")
+    sc = parse_scenario(json.loads(raw), raw)
+    assert sc.scenario_hash == hashlib.sha256(raw).hexdigest()
+    assert all(field is not raw and field != raw for field in sc)
 
 
 # Inputs that once escaped as TypeError, ValueError or OverflowError.
