@@ -1,10 +1,10 @@
 """Sovereign agent: watches the ledger, clears the auction, votes on settlement.
 
-The agent is a pure state machine. Handlers take one input (a ledger event,
-a peer envelope, or a timer) and return a list of actions; the simulation
-driver owns all I/O, so replaying the same inputs reproduces the same
-actions byte for byte. The signing key lives inside an enclave mock and
-never appears in any action or log.
+The agent is a pure state machine. Handlers take one input (a sealed
+block's fundings, another ledger event, a peer envelope, or a timer) and
+return actions; the simulation driver owns all I/O, so replaying the same
+inputs reproduces the same actions byte for byte. The signing key lives
+inside an enclave mock and never appears in any action or log.
 
 Phases walk Monitoring -> Computing -> CrossValidating -> Signing -> Done,
 with CrossValidating -> Computing allowed for a conflict re-check,
@@ -36,13 +36,7 @@ from .consensus import (
     NACK_ROOT_MISMATCH,
     proposer_for,
 )
-from .ledger import (
-    BLOCK_SEALED,
-    FUNDING_RECEIVED,
-    SETTLEMENT_EXECUTED,
-    Contribution,
-    LedgerEvent,
-)
+from .ledger import BLOCK_SEALED, SETTLEMENT_EXECUTED, Contribution, LedgerEvent
 from .wallet import MultisigPolicy, SignatureShare
 
 AGENT_CODE_VERSION = "swarmsim-agent/1.0.0"
@@ -207,26 +201,34 @@ class Agent:
 
     # -- handlers ----------------------------------------------------------
 
-    def on_ledger_event(self, ev: LedgerEvent, now: int) -> list[AgentAction]:
-        key = (ev.height, ev.index)
-        if self._last_key is not None and key <= self._last_key:
-            raise OutOfOrderEvent(f"event at {key} after {self._last_key}")
-        self._last_key = key
+    def on_fundings(self, ev: LedgerEvent, now: int) -> list[list[AgentAction]] | None:
+        """Take a sealed block's fundings (a BLOCK_FUNDINGS entry) in one call.
 
-        if ev.kind == FUNDING_RECEIVED and self.phase == PHASE_MONITORING:
-            # the bulk of every run: before the window-end seal a funding only joins the view
-            self.view.append(ev.payload)
-            return []
+        Before the window-end seal they only join the view, the bulk of every
+        run, and nothing comes back. Once cleared, each is a late full refund,
+        and its actions come back on their own, one list per funding in block
+        order, so the driver can run them after that funding's line.
+        """
+        txs = ev.payload
+        self._advance(ev.height, ev.index, ev.index + len(txs) - 1)
+        if self.phase == PHASE_MONITORING:
+            self.view.extend(txs)
+            return None
+        if self.phase == PHASE_ABORTED or self.phase == PHASE_DONE:
+            return None
+        return [self._on_funding(tx) for tx in txs]
+
+    def on_ledger_event(self, ev: LedgerEvent, now: int) -> list[AgentAction]:
+        """Take a block seal or the executed settlement; fundings come through
+        `on_fundings`."""
+        self._advance(ev.height, ev.index, ev.index)
         if self.phase == PHASE_ABORTED or self.phase == PHASE_DONE:
             if ev.kind == SETTLEMENT_EXECUTED and self.phase == PHASE_ABORTED:
                 return [self._log("settled_after_abort", digest=ev.payload.digest.hex())]
             return []
-
-        if ev.kind == FUNDING_RECEIVED:
-            return self._on_funding(ev.payload)
         if ev.kind == BLOCK_SEALED:
             return self._on_seal(ev.height)
-        return self._on_settlement(ev.payload)  # SETTLEMENT_EXECUTED, the third kind
+        return self._on_settlement(ev.payload)  # SETTLEMENT_EXECUTED, the other kind
 
     def on_peer_message(self, env: Envelope, now: int) -> list[AgentAction]:
         if self.phase in (PHASE_DONE, PHASE_ABORTED):
@@ -269,6 +271,13 @@ class Agent:
         return actions
 
     # -- ledger event details ------------------------------------------------
+
+    def _advance(self, height: int, first: int, last: int) -> None:
+        """Check that an entry's first position follows the last one seen, then
+        move past its last; positions inside a block are the ledger's own."""
+        if self._last_key is not None and (height, first) <= self._last_key:
+            raise OutOfOrderEvent(f"event at {(height, first)} after {self._last_key}")
+        self._last_key = (height, last)
 
     def _on_funding(self, tx: Contribution) -> list[AgentAction]:
         # Only cross_validating and signing agents get here, after the window-end

@@ -114,7 +114,7 @@ class FundingWindow(NamedTuple):
         return self.start_height <= height <= self.end_height
 
 
-FUNDING_RECEIVED = "FundingReceived"
+BLOCK_FUNDINGS = "BlockFundings"
 BLOCK_SEALED = "BlockSealed"
 SETTLEMENT_EXECUTED = "SettlementExecuted"
 
@@ -122,8 +122,10 @@ SETTLEMENT_EXECUTED = "SettlementExecuted"
 class LedgerEvent(NamedTuple):
     """One entry of the totally ordered chain log, ordered by (height, index).
 
-    `payload` is the record matching `kind`: a Contribution, the tuple of
-    Contributions a block sealed, or a SettlementReceipt.
+    `payload` is the record matching `kind`: the tuple of Contributions a
+    block sealed, in ledger order, for BLOCK_FUNDINGS and BLOCK_SEALED, or a
+    SettlementReceipt. A BLOCK_FUNDINGS entry stands for its contributions
+    at indices `index`, `index + 1`, ... of its height.
     """
 
     kind: str
@@ -189,14 +191,17 @@ class Ledger:
         return tx_id
 
     def seal_block(self) -> int:
-        """Finalize the next height with everything queued for it; returns that height."""
+        """Finalize the next height with everything queued for it; returns that height.
+
+        A block that holds fundings logs them as one entry at index 0, ahead
+        of its seal at index len(txs); an empty block logs only its seal.
+        """
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
         self.next_height += 1
-        append, new = self.events.append, tuple.__new__
-        for i, tx in enumerate(txs):
-            self.balance += tx.amount
-            append(new(LedgerEvent, (FUNDING_RECEIVED, height, i, tx)))
+        if txs:
+            self.balance += sum([tx.amount for tx in txs])
+            self._emit(BLOCK_FUNDINGS, height, 0, txs)
         self._emit(BLOCK_SEALED, height, len(txs), txs)
         return height
 

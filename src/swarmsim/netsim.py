@@ -4,7 +4,9 @@ A single heap of (time, seq) events drives everything: ledger ticks (one
 block height per tick, each scheduled by the one before it with sequence -1
 so it sorts ahead of same-time deliveries), peer message deliveries, and
 timer fires. Ledger events are pushed to every agent synchronously and in
-total order, so two honest agents always hold identical views.
+total order, so two honest agents always hold identical views. A sealed
+block's fundings reach each agent in one call, as a chain watcher reads a
+whole block; the transcript still gets one line per funding.
 
 Faults are wrappers around the unmodified honest state machine: they crash
 it, mute it, bump one funding in its own ledger view before it clears, or
@@ -35,8 +37,8 @@ from .agent import (
 )
 from .consensus import MESSAGE_TYPES, Envelope, Propose, body_json
 from .ledger import (
+    BLOCK_FUNDINGS,
     BLOCK_SEALED,
-    FUNDING_RECEIVED,
     AlreadySettled,
     BadSignatureBundle,
     InsufficientBalance,
@@ -122,6 +124,10 @@ class _Fault:
     def observe_attestations(self, triples):
         return self._filter(self.inner.observe_attestations(triples)) if self._up(0) else []
 
+    def on_fundings(self, ev, now):
+        per_funding = self.inner.on_fundings(ev, now) if self._up(now) else None
+        return per_funding and [self._filter(actions) for actions in per_funding]
+
     def on_ledger_event(self, ev, now):
         return self._filter(self.inner.on_ledger_event(ev, now)) if self._up(now) else []
 
@@ -151,9 +157,10 @@ class WrongRootFault(_Fault):
 
     Each ledger event goes straight through. At the window-end seal, before
     the agent clears, the victim among the in-window fundings of its view
-    (perturb_seed mod their count) is bumped in place. Two agents whose seeds
-    agree mod that count derive identical wrong roots and will validate each
-    other.
+    (perturb_seed mod their count) is bumped in place; the end block's
+    fundings reached the view just before its seal, so they count too. Two
+    agents whose seeds agree mod that count derive identical wrong roots and
+    will validate each other.
     """
 
     def on_ledger_event(self, ev, now):
@@ -350,6 +357,12 @@ class Simulation:
     def _pump_ledger(self, now: int) -> None:
         """Drain the ledger's log to every agent, in total order.
 
+        A block's fundings reach each agent in one call (`_fund`), and each
+        funding still gets its own `funding_received` line. An agent that has
+        cleared answers with each funding's actions apart, and they run as if
+        each funding were its own event: funding k's line, then agent 0's
+        actions for it, ..., then agent n-1's, then funding k+1's line.
+
         A settlement executed mid-pump lands on the log and is delivered by
         the same loop after the current event finishes its full fan-out.
         """
@@ -361,12 +374,10 @@ class Simulation:
         while events:
             ev = events.popleft()
             kind, height, index, payload = ev
-            if kind == FUNDING_RECEIVED:
-                add_line(_FUNDING_LINE % (
-                    payload.amount, height, index, payload.sender.hex(), payload.tx_id.hex()
-                ))
-                self.inflow += payload.amount
-            elif kind == BLOCK_SEALED:
+            if kind == BLOCK_FUNDINGS:
+                self._fund(ev, now)
+                continue
+            if kind == BLOCK_SEALED:
                 add_line(_BLOCK_LINE % (height, index, len(payload)))
             else:
                 self.transcript.add_pieces(_settlement_pieces(height, index, payload))
@@ -374,6 +385,22 @@ class Simulation:
                 actions = handle(ev, now)
                 if actions:
                     self._exec(i, actions, now)
+
+    def _fund(self, ev, now: int) -> None:
+        """Hand a block's fundings to every agent, then write each funding's
+        line followed by the actions each agent returned for it."""
+        _, height, index, txs = ev
+        replies = []
+        for i, a in enumerate(self.agents):
+            per_funding = a.on_fundings(ev, now)
+            if per_funding:
+                replies.append((i, per_funding))
+        add_line = self.transcript.add_line
+        for k, (sender, amount, _, tx_id) in enumerate(txs):
+            add_line(_FUNDING_LINE % (amount, height, index + k, sender.hex(), tx_id.hex()))
+            for i, per_funding in replies:
+                self._exec(i, per_funding[k], now)
+        self.inflow += sum([tx.amount for tx in txs])
 
     def _exec(self, agent_index: int, actions: list[AgentAction], now: int) -> None:
         add_line = self.transcript.add_line

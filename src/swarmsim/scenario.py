@@ -106,7 +106,7 @@ def _parse_amount(value, path: str, problems: list[str]) -> int:
         problems.append(f"{path}: amount must be an integer or decimal string")
         return 0
     if isinstance(value, str):
-        if not value.isdecimal():
+        if not (value.isascii() and value.isdecimal()):  # "١٢" and "７" are not amounts
             problems.append(f"{path}: amount string must be decimal digits")
             return 0
         try:

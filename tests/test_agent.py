@@ -31,8 +31,8 @@ from swarmsim.consensus import Ack, AbortMsg, Envelope, Nack, Propose, RoundConf
 from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
+    BLOCK_FUNDINGS,
     BLOCK_SEALED,
-    FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
     Contribution,
     FundingWindow,
@@ -87,7 +87,20 @@ def new_ledger():
 
 def fed_contributions(led):
     """Every funding `led` sealed, in the order the agents were fed them."""
-    return [e.payload for e in led.events if e.kind == FUNDING_RECEIVED]
+    return [tx for e in led.events if e.kind == BLOCK_FUNDINGS for tx in e.payload]
+
+
+def feed(agent, ev, now=0):
+    """Hand `agent` one ledger entry as the driver does: a block's fundings
+    in one call, anything else one event a call. Returns its actions in order."""
+    if ev.kind == BLOCK_FUNDINGS:
+        return [act for actions in agent.on_fundings(ev, now) or () for act in actions]
+    return agent.on_ledger_event(ev, now)
+
+
+def late_block(height, index, *late):
+    """A block's fundings at `height` from `index` on, past the window."""
+    return LedgerEvent(BLOCK_FUNDINGS, height, index, late)
 
 
 def funded_ledger():
@@ -105,7 +118,7 @@ def deliver_ledger(agents, led):
     out = {a.index: [] for a in agents}
     for ev in led.events:
         for a in agents:
-            out[a.index].extend(a.on_ledger_event(ev, 0))
+            out[a.index].extend(feed(a, ev))
     return out
 
 
@@ -168,11 +181,12 @@ def test_funding_during_window_accumulates_silently():
     led.submit_funding(A, 7, 1)
     actions = []
     for ev in led.events:
-        actions.extend(agents[0].on_ledger_event(ev, 0))
+        actions.extend(feed(agents[0], ev))
     led.seal_block()
     funding_ev = [e for e in led.events if e.height == 1][0]
-    got = agents[0].on_ledger_event(funding_ev, 0)
-    assert got == []
+    assert funding_ev.kind == BLOCK_FUNDINGS
+    got = agents[0].on_fundings(funding_ev, 0)
+    assert got is None and actions == []
     assert len(agents[0].view) == 1
     assert agents[0].phase == PHASE_MONITORING
 
@@ -441,6 +455,25 @@ def test_out_of_order_ledger_event_raises():
     led = funded_ledger()
     with pytest.raises(OutOfOrderEvent):
         agents[0].on_ledger_event(led.events[0], 9)
+    with pytest.raises(OutOfOrderEvent):
+        agents[0].on_fundings(led.events[1], 9)
+
+
+def test_a_block_of_fundings_moves_the_order_check_past_its_last_funding():
+    # positions inside a block are the ledger's own: once the fundings at
+    # (1, 0) and (1, 1) arrive as one entry, another entry at (1, 1) is stale
+    agents, _, _, _ = make_world()
+    exchange_attestations(agents)
+    agent = agents[0]
+    seal0, block1, seal1 = list(funded_ledger().events)[:3]
+    assert (block1.kind, block1.height, block1.index, len(block1.payload)) == (
+        BLOCK_FUNDINGS, 1, 0, 2
+    )
+    feed(agent, seal0)
+    feed(agent, block1)
+    with pytest.raises(OutOfOrderEvent):
+        agent.on_fundings(LedgerEvent(BLOCK_FUNDINGS, 1, 1, block1.payload[1:]), 0)
+    assert feed(agent, seal1) == [] and agent.view == list(block1.payload)
 
 
 def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
@@ -455,14 +488,16 @@ def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
     (end_seal,) = [
         e for e in led.events if e.kind == BLOCK_SEALED and e.height == WINDOW.end_height
     ]
-    assert end_seal.index == max(e.index for e in led.events if e.height == end_seal.height)
-    in_window = [e for e in led.events if e.kind == FUNDING_RECEIVED]
+    in_window = [e for e in led.events if e.kind == BLOCK_FUNDINGS]
+    assert end_seal.index == max(
+        e.index + len(e.payload) for e in in_window if e.height == end_seal.height
+    )
     late = Contribution(sender=C, amount=9, block_height=end_seal.height, tx_id=b"\x77" * 32)
-    in_window.append(LedgerEvent(FUNDING_RECEIVED, end_seal.height, end_seal.index, late))
+    in_window.append(late_block(end_seal.height, end_seal.index, late))
     for ev in in_window:
         assert WINDOW.contains(ev.height)
         with pytest.raises(OutOfOrderEvent):
-            agent.on_ledger_event(ev, 9)
+            agent.on_fundings(ev, 9)
     assert agent.phase == PHASE_CROSS_VALIDATING and cleared_state(agent) == cleared
 
 
@@ -472,11 +507,37 @@ def test_the_window_end_seal_releases_the_view_and_late_fundings_still_splice():
     agent = agents[1]
     tx, digest = agent.tx, agent.digest
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 0, late), 8)
+    agent.on_fundings(late_block(3, 0, late), 8)
     assert agent.view is None
     assert agent.tx.full_refunds == tx.full_refunds + ((C, 9),)
     assert agent.digest == wallet.settlement_digest(agent.tx) != digest
     assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
+
+
+def test_a_block_of_late_fundings_answers_one_refresh_per_funding_in_block_order():
+    # the driver writes funding k's line, then each agent's actions for it:
+    # so the agent answers a block with one action list per funding, each
+    # refresh going on from the digest the one before it left
+    agents, _, _, cfg, _ = ready_world()
+    agent = agents[1]
+    first = agent.digest
+    late = [
+        Contribution(sender=s, amount=9 + k, block_height=3, tx_id=bytes([0x70 + k]) * 32)
+        for k, s in enumerate((C, A, C))
+    ]
+    per_funding = agent.on_fundings(late_block(3, 0, *late), 8)
+    assert [len(actions) for actions in per_funding] == [1, 1, 1]
+    refreshes = [actions[0] for actions in per_funding]
+    assert [r.event for r in refreshes] == ["refresh"] * 3
+    digests = [first.hex()] + [r.detail["digest"] for r in refreshes]
+    assert [r.detail["old_digest"] for r in refreshes] == digests[:-1]
+    assert digests[-1] == agent.digest.hex()
+    assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + late)
+    # a settled agent takes a later block and answers nothing
+    receipt = SettlementReceipt(agent.digest, 0, 0, 10, agent.tx)
+    agent.on_ledger_event(LedgerEvent(SETTLEMENT_EXECUTED, 4, 0, receipt), 9)
+    assert agent.phase == PHASE_DONE
+    assert agent.on_fundings(late_block(5, 0, late[0]), 9) is None
 
 
 @pytest.mark.parametrize(
@@ -493,10 +554,10 @@ def test_a_bad_late_funding_raises_what_encode_settlement_raises(sender, amount)
         auction.encode_settlement(grown)
     bad = Contribution(sender=sender, amount=amount, block_height=3, tx_id=b"\x76" * 32)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 0, bad), 8)
+        agent.on_fundings(late_block(3, 0, bad), 8)
     assert cleared_state(agent) == cleared
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_ledger_event(LedgerEvent(FUNDING_RECEIVED, 3, 1, late), 8)
+    agent.on_fundings(late_block(3, 1, late), 8)
     assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
 
 
@@ -520,7 +581,7 @@ def test_an_agent_holds_nothing_as_large_as_its_settlement_encoding(late_funding
     tracemalloc.start()
     try:
         for ev in events:
-            agent.on_ledger_event(ev, 0)
+            feed(agent, ev)
         held = max(trace.size for trace in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
@@ -535,8 +596,7 @@ def test_signing_guard_refuses_second_digest():
     agents[1].on_peer_message(env, 6)  # signs the current digest
     first = agents[1].signed_digest
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    led_ev = LedgerEvent(kind=FUNDING_RECEIVED, height=3, index=0, payload=late)
-    refresh = agents[1].on_ledger_event(led_ev, 8)
+    refresh = feed(agents[1], late_block(3, 0, late), 8)
     assert logs(refresh, "refresh")
     assert agents[1].digest != first
     with pytest.raises(SigningGuardViolation):
@@ -589,8 +649,8 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
         led.seal_block()
     actions = []
     for ev in led.events:
-        actions += agent.on_ledger_event(ev, 0)
-        if ev.kind == FUNDING_RECEIVED and ev.height == 3 + recheck_after:
+        actions += feed(agent, ev)
+        if ev.kind == BLOCK_FUNDINGS and ev.height == 3 + recheck_after:
             assert logs(agent._recheck(), "recheck")
     refreshes = logs(actions, "refresh")
     assert len(refreshes) == len(late)
@@ -648,9 +708,7 @@ def test_recheck_after_a_late_funding_keeps_the_spliced_state(monkeypatch):
     (recheck,) = logs(agent._recheck(), "recheck")
     assert calls == [] and recheck.detail["changed"] is False
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_ledger_event(
-        LedgerEvent(kind=FUNDING_RECEIVED, height=3, index=0, payload=late), 8
-    )
+    agent.on_fundings(late_block(3, 0, late), 8)
     refreshed = cleared_state(agent)
     (recheck,) = logs(agent._recheck(), "recheck")
     assert calls == [] and recheck.detail["changed"] is False

@@ -20,7 +20,7 @@ from swarmsim import cli
 from swarmsim.agent import Log, SendPeer, SetTimer
 from swarmsim.consensus import TRANSPORT_DOMAIN
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
-from swarmsim.ledger import BLOCK_SEALED, FUNDING_RECEIVED, Ledger
+from swarmsim.ledger import BLOCK_FUNDINGS, BLOCK_SEALED, Ledger
 from swarmsim.netsim import Simulation
 from swarmsim.scenario import agent_signing_key, build_scenario_dict, load_scenario
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
@@ -177,16 +177,18 @@ def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
     assert result.accepted and result.outcome == report.outcome
 
 
-def ledger_object(ev) -> dict:
-    """The object a ledger event's transcript line is the canonical JSON of."""
+def ledger_objects(ev) -> list[dict]:
+    """The objects a ledger event's transcript lines are the canonical JSON of:
+    one per funding of a block's fundings, else one."""
     kind, h, i, payload = ev
-    if kind == FUNDING_RECEIVED:
-        return {"h": h, "i": i, "kind": "funding_received", "sender": payload.sender.hex(),
-                "amount": str(payload.amount), "tx_id": payload.tx_id.hex()}
+    if kind == BLOCK_FUNDINGS:
+        return [{"h": h, "i": i + k, "kind": "funding_received", "sender": tx.sender.hex(),
+                 "amount": str(tx.amount), "tx_id": tx.tx_id.hex()}
+                for k, tx in enumerate(payload)]
     if kind == BLOCK_SEALED:
-        return {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}
+        return [{"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}]
     tx = payload.tx
-    return {
+    return [{
         "h": h,
         "i": i,
         "kind": "settlement_executed",
@@ -199,7 +201,7 @@ def ledger_object(ev) -> dict:
         "partial_refund_total": str(payload.partial_refund_total),
         "full_refund_total": str(payload.full_refund_total),
         "retained": str(payload.retained_balance),
-    }
+    }]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -221,7 +223,7 @@ def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
 
     class RecordingLog(deque):
         def append(self, ev):
-            made["ledger"].append(ledger_object(ev))
+            made["ledger"].extend(ledger_objects(ev))
             super().append(ev)
 
     class Watched:

@@ -22,7 +22,7 @@ from swarmsim.harness import (
     verify_transcript,
 )
 from swarmsim.ledger import (
-    FUNDING_RECEIVED,
+    BLOCK_FUNDINGS,
     SETTLEMENT_EXECUTED,
     FundingWindow,
     HeightInPast,
@@ -453,7 +453,7 @@ def test_the_oracle_peaks_no_higher_than_one_agents_clearing():
         ledger.submit_funding(b.address, b.amount, b.height)
     while ledger.next_height <= sc.window.end_height:
         ledger.seal_block()
-    contribs = [ev.payload for ev in ledger.events if ev.kind == FUNDING_RECEIVED]
+    contribs = [tx for ev in ledger.events if ev.kind == BLOCK_FUNDINGS for tx in ev.payload]
     cfg = auction.AuctionConfig(sc.n_items, sc.window, derive_auction_id(sc.seed))
 
     def clear():

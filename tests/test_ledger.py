@@ -9,8 +9,8 @@ from swarmsim import auction, wallet
 from swarmsim.scenario import agent_signing_key
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
+    BLOCK_FUNDINGS,
     BLOCK_SEALED,
-    FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
     AlreadySettled,
     ArithmeticOverflow,
@@ -102,9 +102,12 @@ def test_seal_preserves_submission_order():
     for who, amt in ((A, 1), (B, 2), (C, 3)):
         led.submit_funding(who, amt, 0)
     led.seal_block()
-    sealed = led.events[-1]
+    funded, sealed = led.events
     assert sealed.kind == BLOCK_SEALED
     assert [(t.sender, t.amount) for t in sealed.payload] == [(A, 1), (B, 2), (C, 3)]
+    # the block's fundings are one entry ahead of its seal, at the first index
+    assert (funded.kind, funded.height, funded.index) == (BLOCK_FUNDINGS, 0, 0)
+    assert funded.payload is sealed.payload and sealed.index == 3
 
 
 def test_heights_are_consecutive():
@@ -122,17 +125,13 @@ def test_event_stream_is_totally_ordered():
     led.seal_block()
     keys = [(ev.height, ev.index) for ev in led.events]
     assert keys == sorted(keys)
-    assert [ev.kind for ev in led.events] == [
-        FUNDING_RECEIVED,
-        FUNDING_RECEIVED,
-        BLOCK_SEALED,
-        BLOCK_SEALED,
-    ]
+    assert [ev.kind for ev in led.events] == [BLOCK_FUNDINGS, BLOCK_SEALED, BLOCK_SEALED]
+    assert keys == [(0, 0), (0, 2), (1, 0)]
 
 
 def fundings(led):
     """Every sealed contribution, in ledger order."""
-    return [e.payload for e in led.events if e.kind == FUNDING_RECEIVED]
+    return [tx for e in led.events if e.kind == BLOCK_FUNDINGS for tx in e.payload]
 
 
 def settle_simple(m_sign=2):
@@ -169,12 +168,12 @@ def test_a_funding_queued_at_the_next_height_is_sealed_before_the_settlement():
     assert receipt.retained_balance == 10
     tail = list(led.events)[-4:]
     assert [(ev.kind, ev.height, ev.index) for ev in tail] == [
-        (FUNDING_RECEIVED, 1, 0),
+        (BLOCK_FUNDINGS, 1, 0),
         (BLOCK_SEALED, 1, 1),
         (SETTLEMENT_EXECUTED, 2, 0),
         (BLOCK_SEALED, 2, 1),
     ]
-    assert tail[0].payload.sender == C and led.next_height == 3
+    assert [tx.sender for tx in tail[0].payload] == [C] and led.next_height == 3
 
 
 def test_settlement_replay_rejected():

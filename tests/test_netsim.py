@@ -3,19 +3,21 @@
 import json
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmsim import auction, harness, netsim, wallet
-from swarmsim.agent import Log, SendPeer, SetTimer, SubmitSettlement
+from swarmsim.agent import Agent, Log, SendPeer, SetTimer, SubmitSettlement
 from swarmsim.consensus import Envelope, Propose
 from swarmsim.ledger import (
+    BLOCK_FUNDINGS,
     BLOCK_SEALED,
-    FUNDING_RECEIVED,
     SETTLEMENT_EXECUTED,
     Contribution,
+    FundingWindow,
     Ledger,
     LedgerEvent,
     SettlementReceipt,
@@ -30,10 +32,16 @@ from swarmsim.netsim import (
     Simulation,
     apply_fault,
 )
-from swarmsim.scenario import build_scenario_dict
+from swarmsim.scenario import build_scenario_dict, derive_auction_id
 from swarmsim.transcript import Transcript
 from swarmsim.wallet import MultisigPolicy
-from test_agent import deliver_ledger, exchange_attestations, funded_ledger, make_world
+from test_agent import (
+    deliver_ledger,
+    exchange_attestations,
+    fresh_clear,
+    funded_ledger,
+    make_world,
+)
 from test_consensus import ANY_MESSAGE, body_object, dumps
 from test_ledger import A, B, make_policy, settle_simple, sign_tx
 
@@ -143,7 +151,7 @@ def test_the_funding_line_is_json_dumps_of_its_object(sender, amount, height, in
         net=NetConfig(), max_time=1, transcript=tr,
     )
     tx = Contribution(sender, amount, height, tx_id)
-    sim.ledger.events.append(LedgerEvent(FUNDING_RECEIVED, height, index, tx))
+    sim.ledger.events.append(LedgerEvent(BLOCK_FUNDINGS, height, index, (tx,)))
     sim._pump_ledger(0)
     obj = {"h": height, "i": index, "kind": "funding_received", "sender": sender.hex(),
            "amount": str(amount), "tx_id": tx_id.hex()}
@@ -447,6 +455,102 @@ def test_bad_attestation_shrinks_every_roster():
         if ev.get("event") == "abort" and ev.get("agent") == 2
     ]
     assert aborts and aborts[0]["detail"]["reason"] == "attestation_rejected"
+
+
+@pytest.mark.golden_matrix
+def test_each_agent_takes_a_sealed_block_in_one_call(monkeypatch):
+    # a chain watcher reads whole blocks: over 1,200 bidders on five heights,
+    # each agent's funding handler runs once per sealed height that holds
+    # fundings, and the seal and settlement handler never gets a funding
+    calls, fed, kinds = Counter(), Counter(), set()
+    on_fundings, on_ledger_event = Agent.on_fundings, Agent.on_ledger_event
+
+    def counting_fundings(self, ev, now):
+        calls[(self.index, ev.height)] += 1
+        fed[self.index] += len(ev.payload)
+        return on_fundings(self, ev, now)
+
+    def recording_kinds(self, ev, now):
+        kinds.add(ev.kind)
+        return on_ledger_event(self, ev, now)
+
+    monkeypatch.setattr(Agent, "on_fundings", counting_fundings)
+    monkeypatch.setattr(Agent, "on_ledger_event", recording_kinds)
+    tr, rep = run(scenario(seed=11, bidders=1200, items=800))
+    assert rep.outcome == "SETTLED_CORRECT"
+    heights = {json.loads(line)["h"] for line in tr.lines if '"funding_received"' in line}
+    assert len(heights) == 5
+    assert calls == Counter({(i, h): 1 for i in range(3) for h in heights})
+    assert fed == Counter({i: 1200 for i in range(3)})
+    assert kinds == {BLOCK_SEALED, SETTLEMENT_EXECUTED}
+
+
+def late_scenario(*faults):
+    """Eleven fundings on heights 1-7 of a window that ends at 5: three land
+    in one block past the window and two in the next."""
+    data = scenario(delay=(2, 3))
+    data["bidders"] = {
+        "explicit": [
+            {"address": f"{i:02x}" * 20, "amount": 100 + 37 * i, "height": height}
+            for i, height in enumerate([1, 2, 3, 4, 5, 5, 6, 6, 6, 7, 7], start=1)
+        ]
+    }
+    return with_faults(data, *faults)
+
+
+# the fault on agent 1 for each kind; a crash at 6 lets it clear at the
+# window-end seal (time 5) and takes it down before the first late block
+LATE_FAULTS = {
+    FAULT_CRASH: {"at_time": 6},
+    FAULT_WRONG_ROOT: {"perturb_seed": 5},  # the sixth in-window funding: the end block's last
+}
+
+
+@pytest.mark.golden_matrix
+@pytest.mark.parametrize("kind", (None,) + FAULT_KINDS)
+def test_each_late_funding_line_is_followed_by_each_live_agents_refresh(kind):
+    # a block reaches an agent in one call, yet its transcript reads as if
+    # each funding were its own event: funding k's line, then one refresh per
+    # live agent in agent order. An agent crashed before a block, or aborted
+    # on its attestation, gets nothing from it.
+    fault = {"agent_index": 1, "kind": kind, **LATE_FAULTS.get(kind, {})}
+    tr, rep = run(late_scenario(*([fault] if kind else [])))
+    assert rep.outcome in ("SETTLED_CORRECT", "ABORTED", "STUCK")
+    live = [0, 2] if kind in (FAULT_CRASH, "bad_attestation") else [0, 1, 2]
+    lines = [json.loads(line) for line in tr.lines]
+    end = lines.index({"h": 5, "i": 2, "kind": "block_sealed", "tx_count": 2})
+    late = [k for k in range(end, len(lines)) if lines[k].get("kind") == "funding_received"]
+    assert [lines[k]["h"] for k in late] == [6, 6, 6, 7, 7]
+    for k in late:
+        follow = lines[k + 1:k + 2 + len(live)]
+        assert [(ev.get("event"), ev.get("agent")) for ev in follow] == [
+            *(("refresh", i) for i in live), (None, None)
+        ]
+        assert all(ev["detail"]["height"] == lines[k]["h"] for ev in follow[:-1])
+
+
+@pytest.mark.golden_matrix
+def test_a_wrong_root_victim_can_sit_in_the_window_end_block():
+    # the end block's fundings are in the view when its seal arrives, so the
+    # fault's victim can be one of them: perturb_seed 5 bumps the sixth of
+    # six in-window fundings, which landed in the window-end block
+    tr, _ = run(late_scenario({"agent_index": 1, "kind": FAULT_WRONG_ROOT, "perturb_seed": 5}))
+    lines = [json.loads(line) for line in tr.lines]
+    view = [
+        Contribution(
+            bytes.fromhex(ev["sender"]), int(ev["amount"]), ev["h"], bytes.fromhex(ev["tx_id"])
+        )
+        for ev in lines if ev.get("kind") == "funding_received" and ev["h"] <= 5
+    ]
+    assert len(view) == 6 and view[5].block_height == 5
+    bumped = view[:5] + [view[5]._replace(amount=view[5].amount + 1)]
+    cfg = auction.AuctionConfig(4, FundingWindow(1, 5), derive_auction_id(7))
+    roots = {
+        ev["agent"]: ev["detail"]["root"] for ev in lines
+        if ev.get("event") == "phase" and "root" in ev["detail"]
+    }
+    assert roots[0] == roots[2] == fresh_clear(cfg, view)[2].hex()
+    assert roots[1] == fresh_clear(cfg, bumped)[2].hex()
 
 
 def test_partitioned_proposer_is_routed_around():
