@@ -5,8 +5,9 @@ generated from the seed), agent count and faults, network behavior, and
 consensus knobs. parse_scenario checks every field, reports each problem
 (an unknown key in any object the schema reads among them), and resolves a
 generated population; build_scenario_dict assembles the scenario that
-`swarmsim gen` writes. Agent keys, bidder addresses and the auction id
-derive from the seed alone.
+`swarmsim gen` writes and runs the same checks without drawing the
+population. Agent keys, bidder addresses and the auction id derive from the
+seed alone.
 """
 
 from __future__ import annotations
@@ -197,10 +198,23 @@ def _fault_keys(fault: dict) -> set[str]:
 def parse_scenario(data: dict, raw: bytes) -> Scenario:
     """Validate a scenario dict, resolving any generated population.
 
+    Raises InvalidScenario carrying one diagnostic per problem found. `raw`,
+    the bytes `data` was read from, is kept only as its hash.
+    """
+    sc, draw = _check_scenario(data, raw)
+    if draw is not None:
+        count, sampler, spread = draw
+        bidders = _generate_bidders(sc.seed, count, sampler, sc.window, spread)
+        sc = sc._replace(bidders=tuple(bidders))
+    return sc
+
+
+def _check_scenario(data: dict, raw: bytes) -> tuple[Scenario, tuple | None]:
+    """parse_scenario's checks: the scenario, with no bidders if they are
+    generated, and the generator's (count, sampler, height spread) or None.
+
     Every field is read and checked as a plain value first; the config
-    objects are built only once no problem was found. Raises InvalidScenario
-    carrying one diagnostic per problem found. `raw`, the bytes `data` was
-    read from, is kept only as its hash.
+    objects are built only once no problem was found.
     """
     if not isinstance(data, dict):
         raise InvalidScenario(["scenario: must be a JSON object"])
@@ -381,13 +395,10 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     if problems:
         raise InvalidScenario(problems)
 
-    window = FundingWindow(start_height=start, end_height=end)
-    if sampler is not None:
-        bidders = _generate_bidders(seed, count, sampler, window, spread)
-    return Scenario(
+    sc = Scenario(
         seed=seed,
         n_items=n_items,
-        window=window,
+        window=FundingWindow(start_height=start, end_height=end),
         bidders=tuple(bidders),
         n=n,
         m=m,
@@ -404,6 +415,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
         max_time=max_time,
         scenario_hash=hashlib.sha256(raw).hexdigest(),
     )
+    return sc, None if sampler is None else (count, sampler, spread)
 
 
 def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]:
@@ -527,7 +539,7 @@ def build_scenario_dict(
         "max_time": max_time,
     }
     try:
-        parse_scenario(data, b"")
+        _check_scenario(data, b"")  # the population is drawn by the run that reads it
     except InvalidScenario as exc:
         raise InvalidFlags("; ".join(exc.problems)) from None
     return data

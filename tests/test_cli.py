@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from swarmsim import cli, harness
+from swarmsim import cli, harness, scenario
 from swarmsim.netsim import Simulation
 from swarmsim.scenario import build_scenario_dict
 
@@ -40,6 +40,18 @@ def test_gen_writes_file(tmp_path):
         "faults": [],
         "expected_measurement": "auto",
     }
+
+
+def test_gen_checks_a_scenario_without_drawing_its_population(tmp_path, monkeypatch):
+    # the population is drawn by the run that reads the file, not by gen
+    def drawn(*args):
+        raise AssertionError("gen drew the population")
+
+    monkeypatch.setattr(scenario, "_generate_bidders", drawn)
+    assert build_scenario_dict(bidders=10**6)["bidders"]["generator"]["count"] == 10**6
+    out = tmp_path / "s.json"
+    assert cli.main(["gen", "--bidders", "1000000", "--out", out.as_posix()]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["bidders"]["generator"]["count"] == 10**6
 
 
 def test_gen_rejects_bad_threshold(capsys):

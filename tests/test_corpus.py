@@ -1,20 +1,25 @@
-"""A pinned corpus over the whole scenario space.
+"""The one pin file of the tests, and a pinned corpus over the whole scenario space.
 
-The goldens pin the bytes of fourteen chosen runs. This test pins 600 seeded
-random scenarios: n <= 7 agents, every threshold m, mixed faults, drops, at
-most one partition, explicit bidders at heights up to `end + delay_min`, and
-amounts up to 2^100. For each run it records the outcome, `conservation_ok`
-and the sha256 of the transcript body; for a run that raises, the exception's
-class name. A refactor or a deletion that moves any byte anywhere in that
-space then fails here, not only in the goldens.
+`tests/corpus.json` pins every whole run the tests pin: the fourteen goldens
+of `test_golden.py` by name, and 600 seeded random scenarios by index: n <= 7
+agents, every threshold m, mixed faults, drops, at most one partition,
+explicit bidders at heights up to `end + delay_min`, and amounts up to 2^100.
+Each pin holds the run's outcome, `conservation_ok` and the sha256 of its
+transcript body; for a run that raises, the exception's class name. A
+refactor or a deletion that moves any byte anywhere in that space then fails
+here, not only in the goldens. A failing pin test lists each pin whose
+outcome, `conservation_ok` or raised class moved, as `key: old → new`, and
+counts the pins whose body hash alone moved.
 
-A deliberate change to transcript bytes or outcomes re-records the pins:
+A deliberate change to transcript bytes or outcomes re-records both sections,
+printing the same list first:
 
     PYTHONPATH=src python tests/test_corpus.py --record
 """
 
 import json
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -92,11 +97,8 @@ def corpus_scenario(index: int) -> dict:
     }
 
 
-def corpus_entry(data: dict, consume=lambda line: None) -> dict:
-    try:
-        _, report = run_scenario_dict(data, consume=consume)
-    except Exception as exc:  # a valid scenario that raises is pinned by class name
-        return {"raises": type(exc).__name__}
+def report_entry(report) -> dict:
+    """The pin of a run that returned its report."""
     return {
         "outcome": report.outcome,
         "conservation_ok": report.conservation_ok,
@@ -104,8 +106,54 @@ def corpus_entry(data: dict, consume=lambda line: None) -> dict:
     }
 
 
-def corpus_entries() -> list[dict]:
-    return [corpus_entry(corpus_scenario(i)) for i in range(CORPUS_SIZE)]
+def corpus_entry(data: dict, consume=lambda line: None) -> dict:
+    try:
+        _, report = run_scenario_dict(data, consume=consume)
+    except Exception as exc:  # a valid scenario that raises is pinned by class name
+        return {"raises": type(exc).__name__}
+    return report_entry(report)
+
+
+def load_pins() -> dict:
+    """{"golden": {name: entry}, "corpus": [entry per index]}"""
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def pins_text(pins: dict) -> str:
+    """The pin file's text: one entry a line, the goldens by name."""
+    golden = ",\n".join(
+        f"{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+        for name, entry in sorted(pins["golden"].items())
+    )
+    corpus = ",\n".join(json.dumps(entry, sort_keys=True) for entry in pins["corpus"])
+    return f'{{"golden": {{\n{golden}\n}},\n"corpus": [\n{corpus}\n]}}\n'
+
+
+def _shown(entry: dict | None) -> str:
+    if entry is None:
+        return "none"
+    if "raises" in entry:
+        return f"raises {entry['raises']}"
+    return f"{entry['outcome']}, conservation_ok {json.dumps(entry['conservation_ok'])}"
+
+
+def moved_pins(pinned: dict, fresh: dict) -> str:
+    """Compare pins with fresh entries, both keyed by golden name or corpus
+    index: one line per pin whose outcome, `conservation_ok` or raised class
+    moved (or that one side lacks), as `key: old → new`, then the count of
+    pins whose body hash alone moved. Empty when no pin moved."""
+    lines, hash_only = [], 0
+    for key in [*fresh, *(key for key in pinned if key not in fresh)]:
+        old, new = pinned.get(key), fresh.get(key)
+        if old == new:
+            continue
+        if old is not None and new is not None and _shown(old) == _shown(new):
+            hash_only += 1
+        else:
+            lines.append(f"{key}: {_shown(old)} → {_shown(new)}")
+    if hash_only:
+        lines.append(f"pins whose body hash alone moved: {hash_only}")
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +174,26 @@ def corpus_runs() -> list[tuple[dict, dict, list[dict]]]:
 
 @pytest.mark.golden_matrix
 def test_every_corpus_run_matches_its_pin(corpus_runs):
-    pinned = json.loads(PINS.read_text(encoding="utf-8"))
-    entries = [entry for _, entry, _ in corpus_runs]
-    moved = [i for i, (got, pin) in enumerate(zip(entries, pinned)) if got != pin]
-    assert len(pinned) == CORPUS_SIZE
-    assert moved == [], f"{len(moved)} runs moved, first {moved[0]}: {entries[moved[0]]}"
+    pinned = load_pins()["corpus"]
+    fresh = {i: entry for i, (_, entry, _) in enumerate(corpus_runs)}
+    moved = moved_pins(dict(enumerate(pinned)), fresh)
+    assert not moved, "corpus pins moved:\n" + moved
+
+
+def test_the_pin_writer_rewrites_the_pin_file_byte_for_byte():
+    assert pins_text(load_pins()).encode("utf-8") == PINS.read_bytes()
+
+
+def test_the_docs_quote_the_default_golden_pin():
+    # README's walkthrough output, and the CI step that greps for it
+    body_hash = load_pins()["golden"]["default"]["body_sha256"]
+    for doc in ("README.md", ".github/workflows/ci.yml"):
+        text = PINS.parents[1].joinpath(doc).read_text(encoding="utf-8")
+        assert re.findall("transcript hash: ([0-9a-f]{64})", text) == [body_hash], doc
 
 
 def test_the_corpus_covers_every_outcome_and_the_known_crash():
-    pinned = json.loads(PINS.read_text(encoding="utf-8"))
+    pinned = load_pins()["corpus"]
     kinds = {entry.get("outcome", entry.get("raises")) for entry in pinned}
     assert kinds == {
         "SETTLED_CORRECT", "SETTLED_FRAUDULENT", "ABORTED", "STUCK", "HeightInPast",
@@ -225,5 +284,16 @@ def test_verify_accepts_every_tenth_corpus_run_and_rejects_each_flipped_bit(tmp_
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --record")
+    from test_golden import GOLDEN
+
+    fresh = {
+        "golden": {name: corpus_entry(build()) for name, build in GOLDEN.items()},
+        "corpus": [corpus_entry(corpus_scenario(i)) for i in range(CORPUS_SIZE)],
+    }
+    pinned = load_pins()
+    print(moved_pins(
+        {**pinned["golden"], **dict(enumerate(pinned["corpus"]))},
+        {**fresh["golden"], **dict(enumerate(fresh["corpus"]))},
+    ) or "no pin moved")
     with open(PINS, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in corpus_entries()) + "\n]\n")
+        fh.write(pins_text(fresh))

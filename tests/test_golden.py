@@ -1,11 +1,14 @@
-"""Golden transcripts: full body hashes of fixed scenarios across code changes.
+"""Golden transcripts: fourteen fixed scenarios pinned across code changes.
 
 Rerun determinism (acceptance criterion 4) only compares a run with itself.
 These pins compare a run with the bytes the code produced when they were
 recorded, so a refactor that shifts one transcript line fails here. Every
 fault kind, collusion, a lossy network, a partition with drops, and each
 non-settling outcome is covered, and so is the post-window refresh that
-late fundings drive, with and without a wrong-root agent. A deliberate
+late fundings drive, with and without a wrong-root agent. `GOLDEN` holds
+each run's scenario builder; its pin (outcome, `conservation_ok` and the
+transcript body's sha256) is under "golden" in `tests/corpus.json`, the one
+pin file, compared and re-recorded as `test_corpus.py` says. A deliberate
 change to transcript bytes needs a SCHEMA_VERSION bump and new pins.
 """
 
@@ -26,6 +29,7 @@ from swarmsim.scenario import agent_signing_key, build_scenario_dict, load_scena
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 from swarmsim.wallet import verify_signature, verifying_key_for
 from test_consensus import body_object, dumps
+from test_corpus import load_pins, moved_pins, report_entry
 
 pytestmark = pytest.mark.golden_matrix
 
@@ -53,90 +57,31 @@ def _late_fundings(*faults: str) -> dict:
     return data
 
 
-# name -> (scenario builder, transcript body sha256, outcome)
+# name -> scenario builder; each run's pin is under "golden" in tests/corpus.json
 GOLDEN = {
-    "default": (
-        lambda: build_scenario_dict(),
-        "eb15ce830e308c7c9951be6569ac628d8265ba2441809cb9fdd7e7686ee504dd",
-        "SETTLED_CORRECT",
-    ),
-    "crash_at_5": (
-        lambda: build_scenario_dict(faults=("0:crash:5",)),
-        "a066c37eb07cc6ed6679c6617babf0e13866f500d082d1a32daa8a4b92199585",
-        "SETTLED_CORRECT",
-    ),
-    "crash_at_0": (
-        lambda: build_scenario_dict(faults=("0:crash:0",)),
-        "dde053b2d9b905ceb651abbec685563ecd7ad905fea605dbe556ef556f0f0410",
-        "SETTLED_CORRECT",
-    ),
-    "silent": (
-        lambda: build_scenario_dict(faults=("1:silent",)),
-        "dece243e80afe4ce09fc8adec2bc981a85203249c69f9a488a79f1b2960d1041",
-        "SETTLED_CORRECT",
-    ),
-    "wrong_root": (
-        lambda: build_scenario_dict(faults=("0:wrong_root:5",)),
-        "e17a0d41addc5c7983aec64cdb6e9d481cda7fc3234bfd87b7948eea88e5c0df",
-        "SETTLED_CORRECT",
-    ),
-    "equivocate": (
-        lambda: build_scenario_dict(faults=("0:equivocate",)),
-        "f1d8ee1765676e1eaa917aad0e38d71bb76226eaeeb1d744fca5e3af4f2e4fff",
-        "SETTLED_CORRECT",
-    ),
-    "bad_attestation": (
-        lambda: build_scenario_dict(faults=("2:bad_attestation",)),
-        "97e9c4bcc27a8620300f4d737a7c8dc4acbd454f4212da20c8b94c9a595f55be",
-        "SETTLED_CORRECT",
-    ),
-    "collusion": (
-        lambda: build_scenario_dict(faults=("0:wrong_root:5", "1:wrong_root:5")),
-        "98cba253cbc56070dda0071e5a7efa12e5b06d7fb507f7fd2f477e0f584383ba",
-        "SETTLED_FRAUDULENT",
-    ),
-    "lossy": (
-        lambda: build_scenario_dict(
-            agents=5, threshold=3, drop_rate=0.2, delay=(1, 4), r_max=6
-        ),
-        "26fe4f21ab99beea4ef1687614ac4adf709c847bbd87f16d6296a8c395eef337",
-        "SETTLED_CORRECT",
-    ),
-    "partition_with_drops": (
-        _partition_with_drops,
-        "a581ba1b1eece2932d4e90eeb02acf44dc4c78c81ddf9b5dff595e99a4f572fd",
-        "SETTLED_CORRECT",
-    ),
-    "aborted": (
-        lambda: build_scenario_dict(threshold=3, faults=("1:silent",)),
-        "f3a197618fd72ac42c7a230c6ea0250f38f70d8150f297ac4b245b2f3c6a0116",
-        "ABORTED",
-    ),
-    "late_fundings": (
-        _late_fundings,
-        "7307b3b784c350b0442289bc4843add9e2cdbb03aa61c9414001e24e3609e273",
-        "SETTLED_CORRECT",
-    ),
-    "late_fundings_wrong_root": (
-        lambda: _late_fundings("0:wrong_root:5"),
-        "477abdd69c81412e57986f6ca08ca2e3f4e1c1dad0f5e831d6748cded8947c20",
-        "SETTLED_CORRECT",
-    ),
-    "stuck": (
-        lambda: build_scenario_dict(max_time=6),
-        "1014d22157a4d68c01d47ffcee4a737cc1c99cdfceb26c32290b4cf56f7f388f",
-        "STUCK",
-    ),
+    "default": build_scenario_dict,
+    "crash_at_5": lambda: build_scenario_dict(faults=("0:crash:5",)),
+    "crash_at_0": lambda: build_scenario_dict(faults=("0:crash:0",)),
+    "silent": lambda: build_scenario_dict(faults=("1:silent",)),
+    "wrong_root": lambda: build_scenario_dict(faults=("0:wrong_root:5",)),
+    "equivocate": lambda: build_scenario_dict(faults=("0:equivocate",)),
+    "bad_attestation": lambda: build_scenario_dict(faults=("2:bad_attestation",)),
+    "collusion": lambda: build_scenario_dict(faults=("0:wrong_root:5", "1:wrong_root:5")),
+    "lossy": lambda: build_scenario_dict(agents=5, threshold=3, drop_rate=0.2, delay=(1, 4), r_max=6),
+    "partition_with_drops": _partition_with_drops,
+    "aborted": lambda: build_scenario_dict(threshold=3, faults=("1:silent",)),
+    "late_fundings": _late_fundings,
+    "late_fundings_wrong_root": lambda: _late_fundings("0:wrong_root:5"),
+    "stuck": lambda: build_scenario_dict(max_time=6),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_transcript(name):
-    build, body_hash, outcome = GOLDEN[name]
-    tr, report = run_scenario_dict(build())
-    assert report.outcome == outcome
-    assert tr.body_hash().hex() == body_hash
-    assert report.transcript_hash == body_hash
+    tr, report = run_scenario_dict(GOLDEN[name]())
+    assert tr.body_hash().hex() == report.transcript_hash
+    moved = moved_pins({name: load_pins()["golden"].get(name)}, {name: report_entry(report)})
+    assert not moved, "golden pin moved:\n" + moved
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -144,7 +89,7 @@ def test_cli_streams_the_bytes_that_write_writes(name, tmp_path, capsys):
     # `run --transcript` writes each line as it is added; the library run
     # keeps its lines and writes them after
     spath = tmp_path / "scenario.json"
-    spath.write_text(json.dumps(GOLDEN[name][0](), indent=2) + "\n", encoding="utf-8")
+    spath.write_text(json.dumps(GOLDEN[name](), indent=2) + "\n", encoding="utf-8")
     tr, report = run_scenario(spath.as_posix())
     assert tr.body_hash() == hash_body_lines(tr.lines)
     written, streamed, rpath = (tmp_path / f for f in ("w.jsonl", "s.jsonl", "r.json"))
@@ -162,7 +107,7 @@ def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
     # cli.main pauses the cyclic collector for a whole command, which holds no
     # garbage back only while a run and its verify replay leave no cycle to free
     spath, tpath = tmp_path / "scenario.json", tmp_path / "t.jsonl"
-    spath.write_text(json.dumps(GOLDEN[name][0](), indent=2) + "\n", encoding="utf-8")
+    spath.write_text(json.dumps(GOLDEN[name](), indent=2) + "\n", encoding="utf-8")
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -290,7 +235,7 @@ def test_canonical_json_equals_json_dumps_on_golden_lines(name, monkeypatch):
     monkeypatch.setattr(Transcript, "add", recording_add)
     monkeypatch.setattr(Transcript, "add_line", recording_add_line)
     monkeypatch.setattr(Transcript, "add_pieces", recording_add_pieces)
-    tr, report = run_scenario_dict(GOLDEN[name][0]())
+    tr, report = run_scenario_dict(GOLDEN[name]())
     assert len(added) == len(tr.lines) > 0 and pending == []
 
     objs, drop = [], None
@@ -320,7 +265,7 @@ def test_every_signature_a_golden_transcript_shows_verifies(name):
     # signature verifies under its sender's key over the body written in that
     # line, and each ack's share over the settlement digest it carries, so a
     # line cannot show a body other than the one that was signed
-    data = GOLDEN[name][0]()
+    data = GOLDEN[name]()
     keys = [verifying_key_for(agent_signing_key(data["seed"], i))
             for i in range(data["agents"]["n"])]
     tr, _ = run_scenario_dict(data)
