@@ -1,7 +1,7 @@
 """Sovereign agent: watches the ledger, clears the auction, votes on settlement.
 
 The agent is a pure state machine. Handlers take one input (a sealed
-block's fundings, another ledger event, a peer envelope, or a timer) and
+block's fundings, a ledger event, a peer envelope, or a timer) and
 return actions; the simulation driver owns all I/O, so replaying the same
 inputs reproduces the same actions byte for byte. The signing key lives
 inside an enclave mock and never appears in any action or log.
@@ -202,7 +202,8 @@ class Agent:
     # -- handlers ----------------------------------------------------------
 
     def on_fundings(self, ev: LedgerEvent, now: int) -> list[list[AgentAction]] | None:
-        """Take a sealed block's fundings (a BLOCK_FUNDINGS entry) in one call.
+        """Take the fundings a block's seal entry carries, in one call, ahead
+        of the seal itself, which `on_ledger_event` then takes.
 
         Before the window-end seal they only join the view, the bulk of every
         run, and nothing comes back. Once cleared, each is a late full refund,
@@ -210,7 +211,7 @@ class Agent:
         order, so the driver can run them after that funding's line.
         """
         txs = ev.payload
-        self._advance(ev.height, ev.index, ev.index + len(txs) - 1)
+        self._advance(ev.height, 0, ev.index - 1)
         if self.phase == PHASE_MONITORING:
             self.view.extend(txs)
             return None
@@ -219,8 +220,8 @@ class Agent:
         return [self._on_funding(tx) for tx in txs]
 
     def on_ledger_event(self, ev: LedgerEvent, now: int) -> list[AgentAction]:
-        """Take a block seal or the executed settlement; fundings come through
-        `on_fundings`."""
+        """Take a block seal or the executed settlement; a seal's fundings
+        come through `on_fundings` first."""
         self._advance(ev.height, ev.index, ev.index)
         if self.phase == PHASE_ABORTED or self.phase == PHASE_DONE:
             if ev.kind == SETTLEMENT_EXECUTED and self.phase == PHASE_ABORTED:
@@ -248,10 +249,9 @@ class Agent:
             return self._handle_ack(sender, msg)
         if isinstance(msg, Nack):
             return self._handle_nack(sender, msg)
-        if isinstance(msg, AbortMsg):
-            # Advisory only: a lone faulty Abort must not veto settlement.
-            return [self._log("peer_abort", sender=sender, round=msg.round_index)]
-        return []
+        # AbortMsg, the last message type: `open_envelope` raises on any other.
+        # Advisory only: a lone faulty Abort must not veto settlement.
+        return [self._log("peer_abort", sender=sender, round=msg.round_index)]
 
     def on_timer(self, now: int) -> list[AgentAction]:
         if self.phase in (PHASE_DONE, PHASE_ABORTED, PHASE_MONITORING):
@@ -273,8 +273,9 @@ class Agent:
     # -- ledger event details ------------------------------------------------
 
     def _advance(self, height: int, first: int, last: int) -> None:
-        """Check that an entry's first position follows the last one seen, then
-        move past its last; positions inside a block are the ledger's own."""
+        """Check that the first of an entry's positions follows the last one
+        seen, then move past its last: a seal's fundings take 0..index-1 of its
+        height and the seal its index; positions are the ledger's own."""
         if self._last_key is not None and (height, first) <= self._last_key:
             raise OutOfOrderEvent(f"event at {(height, first)} after {self._last_key}")
         self._last_key = (height, last)

@@ -59,14 +59,6 @@ def _parent_level(level: list[bytes]) -> list[bytes]:
     return parents
 
 
-def _levels(leaves: list[bytes]) -> list[list[bytes]]:
-    """All tree levels bottom-up, starting from the leaf hashes."""
-    levels = [[leaf_hash(l) for l in leaves]]
-    while len(levels[-1]) > 1:
-        levels.append(_parent_level(levels[-1]))
-    return levels
-
-
 def _root(level: list[bytes]) -> bytes:
     """The top of the tree over leaf hashes `level`, holding one level at a time."""
     if not level:
@@ -77,7 +69,7 @@ def _root(level: list[bytes]) -> bytes:
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
-    """The top of `_levels(leaves)`."""
+    """The top of the tree over `leaves`' hashes, the level `prove` ends at."""
     return _root([leaf_hash(l) for l in leaves])
 
 
@@ -94,15 +86,13 @@ def prove(leaves: list[bytes], index: int) -> list[tuple[bytes, str]]:
     if index < 0 or index >= len(leaves):
         raise IndexOutOfRange(f"index {index} outside 0..{len(leaves) - 1}")
     path: list[tuple[bytes, str]] = []
-    idx = index
-    for level in _levels(leaves)[:-1]:
-        if idx % 2 == 0:
-            if idx + 1 < len(level):
-                path.append((level[idx + 1], SIDE_RIGHT))
-            # else: promoted, nothing to add
-        else:
-            path.append((level[idx - 1], SIDE_LEFT))
-        idx //= 2
+    level = [leaf_hash(l) for l in leaves]
+    while len(level) > 1:  # one level at a time, as `_root` walks them
+        sibling = index ^ 1
+        if sibling < len(level):  # else the odd tail, promoted: no step
+            path.append((level[sibling], SIDE_LEFT if index % 2 else SIDE_RIGHT))
+        level = _parent_level(level)
+        index //= 2
     return path
 
 

@@ -114,7 +114,6 @@ class FundingWindow(NamedTuple):
         return self.start_height <= height <= self.end_height
 
 
-BLOCK_FUNDINGS = "BlockFundings"
 BLOCK_SEALED = "BlockSealed"
 SETTLEMENT_EXECUTED = "SettlementExecuted"
 
@@ -123,9 +122,9 @@ class LedgerEvent(NamedTuple):
     """One entry of the totally ordered chain log, ordered by (height, index).
 
     `payload` is the record matching `kind`: the tuple of Contributions a
-    block sealed, in ledger order, for BLOCK_FUNDINGS and BLOCK_SEALED, or a
-    SettlementReceipt. A BLOCK_FUNDINGS entry stands for its contributions
-    at indices `index`, `index + 1`, ... of its height.
+    block sealed, in ledger order, for BLOCK_SEALED, or a SettlementReceipt.
+    A block's k contributions hold indices 0..k-1 of its height and its seal
+    index k, so one BLOCK_SEALED entry stands for the whole block.
     """
 
     kind: str
@@ -193,15 +192,13 @@ class Ledger:
     def seal_block(self) -> int:
         """Finalize the next height with everything queued for it; returns that height.
 
-        A block that holds fundings logs them as one entry at index 0, ahead
-        of its seal at index len(txs); an empty block logs only its seal.
+        The block logs one entry, its seal at index len(txs), carrying its
+        fundings in ledger order at indices 0..len(txs)-1.
         """
         height = self.next_height
         txs = tuple(self._queues.pop(height, ()))
         self.next_height += 1
-        if txs:
-            self.balance += sum([tx.amount for tx in txs])
-            self._emit(BLOCK_FUNDINGS, height, 0, txs)
+        self.balance += sum([tx.amount for tx in txs])
         self._emit(BLOCK_SEALED, height, len(txs), txs)
         return height
 

@@ -5,8 +5,9 @@ block height per tick, each scheduled by the one before it with sequence -1
 so it sorts ahead of same-time deliveries), peer message deliveries, and
 timer fires. Ledger events are pushed to every agent synchronously and in
 total order, so two honest agents always hold identical views. A sealed
-block's fundings reach each agent in one call, as a chain watcher reads a
-whole block; the transcript still gets one line per funding.
+block's fundings reach each agent in one call, from the block's one seal
+entry, as a chain watcher reads a whole block; the transcript still gets
+one line per funding, ahead of the block's line.
 
 Faults are wrappers around the unmodified honest state machine: they crash
 it, mute it, bump one funding in its own ledger view before it clears, or
@@ -37,7 +38,6 @@ from .agent import (
 )
 from .consensus import MESSAGE_TYPES, Envelope, Propose, body_json
 from .ledger import (
-    BLOCK_FUNDINGS,
     BLOCK_SEALED,
     AlreadySettled,
     BadSignatureBundle,
@@ -357,11 +357,12 @@ class Simulation:
     def _pump_ledger(self, now: int) -> None:
         """Drain the ledger's log to every agent, in total order.
 
-        A block's fundings reach each agent in one call (`_fund`), and each
-        funding still gets its own `funding_received` line. An agent that has
-        cleared answers with each funding's actions apart, and they run as if
-        each funding were its own event: funding k's line, then agent 0's
-        actions for it, ..., then agent n-1's, then funding k+1's line.
+        A seal that carries fundings first hands them to each agent in one
+        call (`_fund`), and each funding still gets its own `funding_received`
+        line. An agent that has cleared answers with each funding's actions
+        apart, and they run as if each funding were its own event: funding
+        k's line, then agent 0's actions for it, ..., then agent n-1's, then
+        funding k+1's line. Then comes the block's line and the seal itself.
 
         A settlement executed mid-pump lands on the log and is delivered by
         the same loop after the current event finishes its full fan-out.
@@ -374,10 +375,9 @@ class Simulation:
         while events:
             ev = events.popleft()
             kind, height, index, payload = ev
-            if kind == BLOCK_FUNDINGS:
-                self._fund(ev, now)
-                continue
             if kind == BLOCK_SEALED:
+                if payload:
+                    self._fund(ev, now)
                 add_line(_BLOCK_LINE % (height, index, len(payload)))
             else:
                 self.transcript.add_pieces(_settlement_pieces(height, index, payload))
@@ -387,9 +387,9 @@ class Simulation:
                     self._exec(i, actions, now)
 
     def _fund(self, ev, now: int) -> None:
-        """Hand a block's fundings to every agent, then write each funding's
-        line followed by the actions each agent returned for it."""
-        _, height, index, txs = ev
+        """Hand a seal's fundings to every agent, then write funding k's line,
+        at index k, followed by the actions each agent returned for it."""
+        _, height, _, txs = ev
         replies = []
         for i, a in enumerate(self.agents):
             per_funding = a.on_fundings(ev, now)
@@ -397,7 +397,7 @@ class Simulation:
                 replies.append((i, per_funding))
         add_line = self.transcript.add_line
         for k, (sender, amount, _, tx_id) in enumerate(txs):
-            add_line(_FUNDING_LINE % (amount, height, index + k, sender.hex(), tx_id.hex()))
+            add_line(_FUNDING_LINE % (amount, height, k, sender.hex(), tx_id.hex()))
             for i, per_funding in replies:
                 self._exec(i, per_funding[k], now)
         self.inflow += sum([tx.amount for tx in txs])

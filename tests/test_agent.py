@@ -31,7 +31,6 @@ from swarmsim.consensus import Ack, AbortMsg, Envelope, Nack, Propose, RoundConf
 from swarmsim.harness import run_scenario_dict
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
-    BLOCK_FUNDINGS,
     BLOCK_SEALED,
     SETTLEMENT_EXECUTED,
     Contribution,
@@ -87,20 +86,21 @@ def new_ledger():
 
 def fed_contributions(led):
     """Every funding `led` sealed, in the order the agents were fed them."""
-    return [tx for e in led.events if e.kind == BLOCK_FUNDINGS for tx in e.payload]
+    return [tx for e in led.events if e.kind == BLOCK_SEALED for tx in e.payload]
 
 
 def feed(agent, ev, now=0):
-    """Hand `agent` one ledger entry as the driver does: a block's fundings
-    in one call, anything else one event a call. Returns its actions in order."""
-    if ev.kind == BLOCK_FUNDINGS:
-        return [act for actions in agent.on_fundings(ev, now) or () for act in actions]
-    return agent.on_ledger_event(ev, now)
+    """Hand `agent` one ledger entry as the driver does: the fundings a seal
+    carries in one call, then the entry itself. Returns its actions in order."""
+    actions = []
+    if ev.kind == BLOCK_SEALED and ev.payload:
+        actions = [act for per in agent.on_fundings(ev, now) or () for act in per]
+    return actions + agent.on_ledger_event(ev, now)
 
 
-def late_block(height, index, *late):
-    """A block's fundings at `height` from `index` on, past the window."""
-    return LedgerEvent(BLOCK_FUNDINGS, height, index, late)
+def late_block(height, *late):
+    """The seal at `height` of a block of fundings past the window."""
+    return LedgerEvent(BLOCK_SEALED, height, len(late), late)
 
 
 def funded_ledger():
@@ -183,8 +183,8 @@ def test_funding_during_window_accumulates_silently():
     for ev in led.events:
         actions.extend(feed(agents[0], ev))
     led.seal_block()
-    funding_ev = [e for e in led.events if e.height == 1][0]
-    assert funding_ev.kind == BLOCK_FUNDINGS
+    (funding_ev,) = [e for e in led.events if e.height == 1]
+    assert (funding_ev.kind, funding_ev.index) == (BLOCK_SEALED, 1)
     got = agents[0].on_fundings(funding_ev, 0)
     assert got is None and actions == []
     assert len(agents[0].view) == 1
@@ -300,6 +300,18 @@ def test_message_from_sender_n_dropped_even_when_its_attestation_is_valid():
     msg = Nack(round_index=0, reason="not_ready")
     reply = agents[0].on_peer_message(seal(extra_key, 3, msg), 6)
     assert logs(reply, "unknown_sender")[0].detail["sender"] == 3
+
+
+def test_an_envelope_from_the_agent_itself_is_dropped_before_any_check():
+    # no log and no nack: neither the roster check (a fresh agent's roster is
+    # empty) nor the signature check (the second is signed by no one) runs
+    agents, keys, _, _ = make_world()
+    msg = Nack(round_index=0, reason="not_ready")
+    assert agents[1].roster == ()
+    assert agents[1].on_peer_message(seal(keys[1], 1, msg), 6) == []
+    agents, _, _, _, _ = ready_world()
+    assert agents[1].on_peer_message(Envelope(1, msg, bytes(64)), 6) == []
+    assert agents[1].phase == PHASE_CROSS_VALIDATING
 
 
 def test_bad_transport_signature_dropped():
@@ -460,40 +472,43 @@ def test_out_of_order_ledger_event_raises():
 
 
 def test_a_block_of_fundings_moves_the_order_check_past_its_last_funding():
-    # positions inside a block are the ledger's own: once the fundings at
-    # (1, 0) and (1, 1) arrive as one entry, another entry at (1, 1) is stale
+    # positions inside a block are the ledger's own: a block's fundings start
+    # at index 0, so past the empty seal at (0, 0) a block at height 0 is
+    # stale; once the seal at (1, 2) has handed over the fundings at (1, 0)
+    # and (1, 1), another block at height 1 is stale, and so is anything at
+    # (1, 1); the seal itself is next
     agents, _, _, _ = make_world()
     exchange_attestations(agents)
     agent = agents[0]
-    seal0, block1, seal1 = list(funded_ledger().events)[:3]
-    assert (block1.kind, block1.height, block1.index, len(block1.payload)) == (
-        BLOCK_FUNDINGS, 1, 0, 2
+    seal0, seal1 = list(funded_ledger().events)[:2]
+    assert (seal1.kind, seal1.height, seal1.index, len(seal1.payload)) == (
+        BLOCK_SEALED, 1, 2, 2
     )
     feed(agent, seal0)
-    feed(agent, block1)
     with pytest.raises(OutOfOrderEvent):
-        agent.on_fundings(LedgerEvent(BLOCK_FUNDINGS, 1, 1, block1.payload[1:]), 0)
-    assert feed(agent, seal1) == [] and agent.view == list(block1.payload)
+        agent.on_fundings(LedgerEvent(BLOCK_SEALED, 0, 1, seal1.payload[:1]), 0)
+    assert agent.on_fundings(seal1, 0) is None
+    with pytest.raises(OutOfOrderEvent):
+        agent.on_fundings(LedgerEvent(BLOCK_SEALED, 1, 1, seal1.payload[1:]), 0)
+    with pytest.raises(OutOfOrderEvent):
+        agent.on_ledger_event(LedgerEvent(BLOCK_SEALED, 1, 1, ()), 0)
+    assert agent.on_ledger_event(seal1, 0) == [] and agent.view == list(seal1.payload)
 
 
 def test_no_in_window_funding_reaches_an_agent_past_the_window_end_seal():
     # `_on_funding` splices every funding in as a full refund. That rests on
-    # this: the window-end seal has the highest index of its height, so once
-    # an agent has seen it, any funding inside the window is out of order.
+    # this: a seal's fundings sit below its index, so once an agent has seen
+    # the window-end seal, any block of fundings inside the window is out of
+    # order, a second one at the end height too.
     agents, _, _, _, _ = ready_world()
     agent = agents[1]
     assert agent.phase == PHASE_CROSS_VALIDATING
     cleared = cleared_state(agent)
     led = funded_ledger()
-    (end_seal,) = [
-        e for e in led.events if e.kind == BLOCK_SEALED and e.height == WINDOW.end_height
-    ]
-    in_window = [e for e in led.events if e.kind == BLOCK_FUNDINGS]
-    assert end_seal.index == max(
-        e.index + len(e.payload) for e in in_window if e.height == end_seal.height
-    )
-    late = Contribution(sender=C, amount=9, block_height=end_seal.height, tx_id=b"\x77" * 32)
-    in_window.append(late_block(end_seal.height, end_seal.index, late))
+    in_window = [e for e in led.events if e.kind == BLOCK_SEALED and e.payload]
+    assert [(e.height, e.index) for e in in_window] == [(1, 2), (WINDOW.end_height, 1)]
+    late = Contribution(sender=C, amount=9, block_height=WINDOW.end_height, tx_id=b"\x77" * 32)
+    in_window.append(late_block(WINDOW.end_height, late))
     for ev in in_window:
         assert WINDOW.contains(ev.height)
         with pytest.raises(OutOfOrderEvent):
@@ -507,7 +522,7 @@ def test_the_window_end_seal_releases_the_view_and_late_fundings_still_splice():
     agent = agents[1]
     tx, digest = agent.tx, agent.digest
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_fundings(late_block(3, 0, late), 8)
+    agent.on_fundings(late_block(3, late), 8)
     assert agent.view is None
     assert agent.tx.full_refunds == tx.full_refunds + ((C, 9),)
     assert agent.digest == wallet.settlement_digest(agent.tx) != digest
@@ -525,7 +540,7 @@ def test_a_block_of_late_fundings_answers_one_refresh_per_funding_in_block_order
         Contribution(sender=s, amount=9 + k, block_height=3, tx_id=bytes([0x70 + k]) * 32)
         for k, s in enumerate((C, A, C))
     ]
-    per_funding = agent.on_fundings(late_block(3, 0, *late), 8)
+    per_funding = agent.on_fundings(late_block(3, *late), 8)
     assert [len(actions) for actions in per_funding] == [1, 1, 1]
     refreshes = [actions[0] for actions in per_funding]
     assert [r.event for r in refreshes] == ["refresh"] * 3
@@ -537,7 +552,7 @@ def test_a_block_of_late_fundings_answers_one_refresh_per_funding_in_block_order
     receipt = SettlementReceipt(agent.digest, 0, 0, 10, agent.tx)
     agent.on_ledger_event(LedgerEvent(SETTLEMENT_EXECUTED, 4, 0, receipt), 9)
     assert agent.phase == PHASE_DONE
-    assert agent.on_fundings(late_block(5, 0, late[0]), 9) is None
+    assert agent.on_fundings(late_block(5, late[0]), 9) is None
 
 
 @pytest.mark.parametrize(
@@ -554,10 +569,10 @@ def test_a_bad_late_funding_raises_what_encode_settlement_raises(sender, amount)
         auction.encode_settlement(grown)
     bad = Contribution(sender=sender, amount=amount, block_height=3, tx_id=b"\x76" * 32)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        agent.on_fundings(late_block(3, 0, bad), 8)
+        agent.on_fundings(late_block(3, bad), 8)
     assert cleared_state(agent) == cleared
-    late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_fundings(late_block(3, 1, late), 8)
+    late = Contribution(sender=C, amount=9, block_height=4, tx_id=b"\x77" * 32)
+    agent.on_fundings(late_block(4, late), 8)
     assert cleared_state(agent) == fresh_clear(cfg, fed_contributions(funded_ledger()) + [late])
 
 
@@ -596,7 +611,7 @@ def test_signing_guard_refuses_second_digest():
     agents[1].on_peer_message(env, 6)  # signs the current digest
     first = agents[1].signed_digest
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    refresh = feed(agents[1], late_block(3, 0, late), 8)
+    refresh = feed(agents[1], late_block(3, late), 8)
     assert logs(refresh, "refresh")
     assert agents[1].digest != first
     with pytest.raises(SigningGuardViolation):
@@ -650,7 +665,7 @@ def test_late_fundings_leave_the_state_a_fresh_recompute_gives(
     actions = []
     for ev in led.events:
         actions += feed(agent, ev)
-        if ev.kind == BLOCK_FUNDINGS and ev.height == 3 + recheck_after:
+        if ev.height == 3 + recheck_after:
             assert logs(agent._recheck(), "recheck")
     refreshes = logs(actions, "refresh")
     assert len(refreshes) == len(late)
@@ -708,7 +723,7 @@ def test_recheck_after_a_late_funding_keeps_the_spliced_state(monkeypatch):
     (recheck,) = logs(agent._recheck(), "recheck")
     assert calls == [] and recheck.detail["changed"] is False
     late = Contribution(sender=C, amount=9, block_height=3, tx_id=b"\x77" * 32)
-    agent.on_fundings(late_block(3, 0, late), 8)
+    agent.on_fundings(late_block(3, late), 8)
     refreshed = cleared_state(agent)
     (recheck,) = logs(agent._recheck(), "recheck")
     assert calls == [] and recheck.detail["changed"] is False

@@ -23,7 +23,7 @@ from swarmsim import cli
 from swarmsim.agent import Log, SendPeer, SetTimer
 from swarmsim.consensus import TRANSPORT_DOMAIN
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
-from swarmsim.ledger import BLOCK_FUNDINGS, BLOCK_SEALED, Ledger
+from swarmsim.ledger import BLOCK_SEALED, Ledger
 from swarmsim.netsim import Simulation
 from swarmsim.scenario import agent_signing_key, build_scenario_dict, load_scenario
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
@@ -124,14 +124,13 @@ def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
 
 def ledger_objects(ev) -> list[dict]:
     """The objects a ledger event's transcript lines are the canonical JSON of:
-    one per funding of a block's fundings, else one."""
+    a seal's one per funding it carries, at index k, then its own; else one."""
     kind, h, i, payload = ev
-    if kind == BLOCK_FUNDINGS:
-        return [{"h": h, "i": i + k, "kind": "funding_received", "sender": tx.sender.hex(),
-                 "amount": str(tx.amount), "tx_id": tx.tx_id.hex()}
-                for k, tx in enumerate(payload)]
     if kind == BLOCK_SEALED:
-        return [{"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}]
+        return [{"h": h, "i": k, "kind": "funding_received", "sender": tx.sender.hex(),
+                 "amount": str(tx.amount), "tx_id": tx.tx_id.hex()}
+                for k, tx in enumerate(payload)] + [
+            {"h": h, "i": i, "kind": "block_sealed", "tx_count": len(payload)}]
     tx = payload.tx
     return [{
         "h": h,

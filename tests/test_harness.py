@@ -23,7 +23,7 @@ from swarmsim.harness import (
     verify_transcript,
 )
 from swarmsim.ledger import (
-    BLOCK_FUNDINGS,
+    BLOCK_SEALED,
     SETTLEMENT_EXECUTED,
     FundingWindow,
     HeightInPast,
@@ -453,7 +453,7 @@ def test_the_oracle_peaks_no_higher_than_one_agents_clearing():
         ledger.submit_funding(b.address, b.amount, b.height)
     while ledger.next_height <= sc.window.end_height:
         ledger.seal_block()
-    contribs = [tx for ev in ledger.events if ev.kind == BLOCK_FUNDINGS for tx in ev.payload]
+    contribs = [tx for ev in ledger.events if ev.kind == BLOCK_SEALED for tx in ev.payload]
     cfg = auction.AuctionConfig(sc.n_items, sc.window, derive_auction_id(sc.seed))
 
     def clear():

@@ -31,7 +31,14 @@ from swarmsim.auction import (
     encode_entries,
     encode_settlement,
 )
-from swarmsim.commitment import _levels, bid_list_root, encode_bid_leaf, leaf_hash, merkle_root
+from swarmsim.commitment import (
+    bid_list_root,
+    encode_bid_leaf,
+    leaf_hash,
+    merkle_root,
+    prove,
+    verify_inclusion,
+)
 from swarmsim.harness import oracle_from_contributions
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
@@ -228,13 +235,15 @@ def test_the_kernel_equals_its_references(instance):
 
 
 def test_merkle_root_and_its_levels_equal_the_reference_at_every_size():
-    # 0-70 leaves: every level of every tree up to 70 is odd or even at some size
+    # 0-70 leaves: every level of every tree up to 70 is odd or even at some
+    # size, and every leaf's proof, one step per level it is not promoted at,
+    # climbs to the reference root
     leaves = [hashlib.sha256(bytes([i])).digest() * 2 + bytes(12) for i in range(70)]
     for n in range(71):
         root = reference_merkle_root(leaves[:n])
         assert merkle_root(leaves[:n]) == root
-        if n:
-            assert _levels(leaves[:n])[-1] == [root]
+        for k in range(n):
+            assert verify_inclusion(root, leaves[k], prove(leaves[:n], k))
 
 
 def test_aggregate_overflow_matches_the_reference():

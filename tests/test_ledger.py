@@ -9,7 +9,6 @@ from swarmsim import auction, wallet
 from swarmsim.scenario import agent_signing_key
 from swarmsim.ledger import (
     AMOUNT_LIMIT,
-    BLOCK_FUNDINGS,
     BLOCK_SEALED,
     SETTLEMENT_EXECUTED,
     AlreadySettled,
@@ -98,16 +97,15 @@ def test_seal_empty_block():
 
 
 def test_seal_preserves_submission_order():
+    # a block of k fundings logs one entry, its seal at (h, k), carrying them
     led = Ledger(POLICY)
-    for who, amt in ((A, 1), (B, 2), (C, 3)):
-        led.submit_funding(who, amt, 0)
     led.seal_block()
-    funded, sealed = led.events
-    assert sealed.kind == BLOCK_SEALED
+    for who, amt in ((A, 1), (B, 2), (C, 3)):
+        led.submit_funding(who, amt, 1)
+    led.seal_block()
+    _, sealed = led.events
+    assert (sealed.kind, sealed.height, sealed.index) == (BLOCK_SEALED, 1, 3)
     assert [(t.sender, t.amount) for t in sealed.payload] == [(A, 1), (B, 2), (C, 3)]
-    # the block's fundings are one entry ahead of its seal, at the first index
-    assert (funded.kind, funded.height, funded.index) == (BLOCK_FUNDINGS, 0, 0)
-    assert funded.payload is sealed.payload and sealed.index == 3
 
 
 def test_heights_are_consecutive():
@@ -125,13 +123,13 @@ def test_event_stream_is_totally_ordered():
     led.seal_block()
     keys = [(ev.height, ev.index) for ev in led.events]
     assert keys == sorted(keys)
-    assert [ev.kind for ev in led.events] == [BLOCK_FUNDINGS, BLOCK_SEALED, BLOCK_SEALED]
-    assert keys == [(0, 0), (0, 2), (1, 0)]
+    assert [ev.kind for ev in led.events] == [BLOCK_SEALED, BLOCK_SEALED]
+    assert keys == [(0, 2), (1, 0)]
 
 
 def fundings(led):
     """Every sealed contribution, in ledger order."""
-    return [tx for e in led.events if e.kind == BLOCK_FUNDINGS for tx in e.payload]
+    return [tx for e in led.events if e.kind == BLOCK_SEALED for tx in e.payload]
 
 
 def settle_simple(m_sign=2):
@@ -166,9 +164,8 @@ def test_a_funding_queued_at_the_next_height_is_sealed_before_the_settlement():
     receipt = led.execute_settlement(tx, sigs)
     # the settlement refunds B's 3 only; A's 7 and C's 3 stay
     assert receipt.retained_balance == 10
-    tail = list(led.events)[-4:]
+    tail = list(led.events)[-3:]
     assert [(ev.kind, ev.height, ev.index) for ev in tail] == [
-        (BLOCK_FUNDINGS, 1, 0),
         (BLOCK_SEALED, 1, 1),
         (SETTLEMENT_EXECUTED, 2, 0),
         (BLOCK_SEALED, 2, 1),

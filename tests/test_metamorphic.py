@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from swarmsim.auction import AuctionConfig, aggregate, build_settlement, compute_clearing
 from swarmsim.harness import oracle_from_contributions
-from swarmsim.ledger import BLOCK_FUNDINGS, FundingWindow, Ledger
+from swarmsim.ledger import BLOCK_SEALED, FundingWindow, Ledger
 from swarmsim.wallet import MultisigPolicy
 
 AUCTION_ID = b"\x07" * 32
@@ -46,7 +46,7 @@ def ledgered(fundings):
             led.seal_block()
         led.submit_funding(sender, amount, height)
     led.seal_block()
-    return [tx for ev in led.events if ev.kind == BLOCK_FUNDINGS for tx in ev.payload]
+    return [tx for ev in led.events if ev.kind == BLOCK_SEALED for tx in ev.payload]
 
 
 def winner_totals(tx, price):

@@ -13,7 +13,6 @@ from swarmsim import auction, harness, netsim, wallet
 from swarmsim.agent import Agent, Log, SendPeer, SetTimer, SubmitSettlement
 from swarmsim.consensus import Envelope, Propose
 from swarmsim.ledger import (
-    BLOCK_FUNDINGS,
     BLOCK_SEALED,
     SETTLEMENT_EXECUTED,
     Contribution,
@@ -144,18 +143,25 @@ _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 )
 def test_the_funding_line_is_json_dumps_of_its_object(sender, amount, height, index, tx_id):
     # the funding line is filled into a template, not encoded; over the whole
-    # range of every field it must still be what json.dumps writes
+    # range of every field it must still be what json.dumps writes, and a seal
+    # that carries the funding writes its line at index 0, then the block's
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    obj = {"h": height, "i": index, "kind": "funding_received", "sender": sender.hex(),
+           "amount": str(amount), "tx_id": tx_id.hex()}
+    line = netsim._FUNDING_LINE % (amount, height, index, sender.hex(), tx_id.hex())
+    assert line == dumps(obj)
     tr = Transcript({"schema_version": 1})
     sim = Simulation(
         ledger=Ledger(CHAIN_ONLY), agents=[], submissions={}, last_height=0,
         net=NetConfig(), max_time=1, transcript=tr,
     )
     tx = Contribution(sender, amount, height, tx_id)
-    sim.ledger.events.append(LedgerEvent(BLOCK_FUNDINGS, height, index, (tx,)))
+    sim.ledger.events.append(LedgerEvent(BLOCK_SEALED, height, 1, (tx,)))
     sim._pump_ledger(0)
-    obj = {"h": height, "i": index, "kind": "funding_received", "sender": sender.hex(),
-           "amount": str(amount), "tx_id": tx_id.hex()}
-    assert tr.lines == [json.dumps(obj, sort_keys=True, separators=(",", ":"))]
+    block = {"h": height, "i": 1, "kind": "block_sealed", "tx_count": 1}
+    assert tr.lines == [dumps({**obj, "i": 0}), dumps(block)]
     assert sim.inflow == amount
 
 
@@ -206,7 +212,8 @@ def test_the_block_and_settlement_lines_are_json_dumps_of_their_objects(
         ledger=Ledger(CHAIN_ONLY), agents=[], submissions={}, last_height=0,
         net=NetConfig(), max_time=1, transcript=tr,
     )
-    sim.ledger.events.append(LedgerEvent(BLOCK_SEALED, block_h, block_i, (None,) * tx_count))
+    funding = Contribution(b"\x00" * 20, 1, block_h, b"\x00" * 32)
+    sim.ledger.events.append(LedgerEvent(BLOCK_SEALED, block_h, block_i, (funding,) * tx_count))
     sim.ledger.events.append(LedgerEvent(SETTLEMENT_EXECUTED, h, i, receipt))
     sim._pump_ledger(0)
     block = {"h": block_h, "i": block_i, "kind": "block_sealed", "tx_count": tx_count}
@@ -227,9 +234,10 @@ def test_the_block_and_settlement_lines_are_json_dumps_of_their_objects(
     block_line, settlement_line = (
         json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in (block, settlement)
     )
-    assert len(tr.lines) == 2
-    assert tr.lines[0] == block_line
-    assert tr.lines[1] == settlement_line
+    # the seal's funding lines come first
+    assert len(tr.lines) == tx_count + 2
+    assert tr.lines[-2] == block_line
+    assert tr.lines[-1] == settlement_line
 
 
 class _AnyAgent:
@@ -461,17 +469,21 @@ def test_bad_attestation_shrinks_every_roster():
 def test_each_agent_takes_a_sealed_block_in_one_call(monkeypatch):
     # a chain watcher reads whole blocks: over 1,200 bidders on five heights,
     # each agent's funding handler runs once per sealed height that holds
-    # fundings, and the seal and settlement handler never gets a funding
-    calls, fed, kinds = Counter(), Counter(), set()
+    # fundings, on that height's seal, which the seal handler then takes
+    calls, fed, kinds, sealed = Counter(), Counter(), set(), []
     on_fundings, on_ledger_event = Agent.on_fundings, Agent.on_ledger_event
 
     def counting_fundings(self, ev, now):
+        assert ev.kind == BLOCK_SEALED and ev.index == len(ev.payload)
         calls[(self.index, ev.height)] += 1
         fed[self.index] += len(ev.payload)
+        sealed.append((self.index, ev))
         return on_fundings(self, ev, now)
 
     def recording_kinds(self, ev, now):
         kinds.add(ev.kind)
+        if ev.payload and ev.kind == BLOCK_SEALED:
+            assert sealed.pop(0) == (self.index, ev)
         return on_ledger_event(self, ev, now)
 
     monkeypatch.setattr(Agent, "on_fundings", counting_fundings)
@@ -482,7 +494,7 @@ def test_each_agent_takes_a_sealed_block_in_one_call(monkeypatch):
     assert len(heights) == 5
     assert calls == Counter({(i, h): 1 for i in range(3) for h in heights})
     assert fed == Counter({i: 1200 for i in range(3)})
-    assert kinds == {BLOCK_SEALED, SETTLEMENT_EXECUTED}
+    assert kinds == {BLOCK_SEALED, SETTLEMENT_EXECUTED} and sealed == []
 
 
 def late_scenario(*faults):
