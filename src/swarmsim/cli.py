@@ -103,14 +103,11 @@ def _replace_on_success(path: str):
 
 
 def _cmd_run(args) -> int:
-    try:
-        data, raw = scenario.load_scenario(args.scenario)
+    try:  # parsed before any output opens; only the Scenario reaches the run
+        sc = scenario.parse_scenario(*scenario.load_scenario(args.scenario))
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
-    # parsed before any output opens; only the Scenario reaches the run
-    sc = scenario.parse_scenario(data, raw)
-    del data, raw
     # both outputs are opened before the run, so an unwritable path fails at
     # once and a failed run leaves neither; without a transcript path the
     # body still streams, to a file that keeps nothing. No output or .part

@@ -26,7 +26,7 @@ from .auction import AuctionConfig, SettlementTx
 from .ledger import FundingWindow, Ledger, SettlementReceipt
 from .netsim import Simulation
 from .scenario import Scenario, agent_signing_key, derive_auction_id, load_scenario, parse_scenario
-from .transcript import SCHEMA_VERSION, Transcript, canonical_json, load_lines
+from .transcript import SCHEMA_VERSION, Transcript, load_lines
 from .wallet import MultisigPolicy
 
 OUTCOME_SETTLED_CORRECT = "SETTLED_CORRECT"
@@ -160,20 +160,20 @@ class RunReport(NamedTuple):
 
 
 def run_scenario_dict(
-    data: dict, raw: bytes | None = None, consume: Callable[[str], None] | None = None
+    data: dict, consume: Callable[[str], None] | None = None
 ) -> tuple[Transcript, RunReport]:
-    """Run and classify. Without `consume` the returned transcript keeps its
-    body lines; with it, the transcript's text goes to `consume` as it is
-    made, the header line first (see `Transcript`)."""
-    if raw is None:
-        raw = canonical_json(data).encode("utf-8")
-    sc = parse_scenario(data, raw)
-    del data, raw  # freed before the run, unless the caller holds it
+    """Run and classify a scenario document that was read from no file, so it
+    is hashed as its canonical JSON (see `parse_scenario`). Without `consume`
+    the returned transcript keeps its body lines; with it, the transcript's
+    text goes to `consume` as it is made, the header line first (see
+    `Transcript`)."""
+    sc = parse_scenario(data)
+    del data  # freed before the run, unless the caller holds it
     return _run(sc, consume)
 
 
 def run_scenario(path: str) -> tuple[Transcript, RunReport]:
-    # the loaded pair dies when parse_scenario returns, before the run
+    # the loaded document dies when parse_scenario returns, before the run
     return _run(parse_scenario(*load_scenario(path)))
 
 
@@ -203,10 +203,11 @@ def _run(
     for f in sc.faults:
         agents[f.agent_index] = netsim.apply_fault(agents[f.agent_index], f)
 
-    submissions: dict[int, list[tuple[bytes, int]]] = {}
+    # the scenario's own BidderEntry tuples by height, in scenario order
+    submissions: dict[int, list] = {}
     for b in sc.bidders:
-        submissions.setdefault(b.height, []).append((b.address, b.amount))
-    last_height = max([sc.window.end_height] + [b.height for b in sc.bidders])
+        submissions.setdefault(b.height, []).append(b)
+    last_height = max([sc.window.end_height, *submissions])
 
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -355,8 +356,10 @@ def _divergence(
 
 def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
     """Replay the scenario, comparing each piece of replayed text with the
-    stored text as it is added; the replay stops at the first divergence."""
-    data, raw_scn = load_scenario(scenario_path)
+    stored text as it is added; the replay stops at the first divergence.
+    The header's `scenario_hash` is compared with the hash `load_scenario`
+    took as it read the file, the one time the file is hashed."""
+    data, scenario_hash = load_scenario(scenario_path)
     with load_lines(transcript_path) as fh:
         try:
             header_line = fh.readline()
@@ -375,10 +378,10 @@ def verify_transcript(transcript_path: str, scenario_path: str) -> VerifyResult:
             if key not in header:
                 raise SchemaMismatch(f"header missing {key!r}")
 
-        if header["scenario_hash"] != hashlib.sha256(raw_scn).hexdigest():
+        if header["scenario_hash"] != scenario_hash:
             return VerifyResult(False, "scenario_hash_mismatch")
-        sc = parse_scenario(data, raw_scn)
-        del data, raw_scn  # not held across the replay
+        sc = parse_scenario(data, scenario_hash)
+        del data  # not held across the replay
         if header["seed"] != sc.seed:
             return VerifyResult(False, "seed_mismatch")
         if header["prng"] != "mt19937" or header["sig_scheme"] != wallet.SIG_SCHEME:

@@ -275,14 +275,16 @@ def _settlement_pieces(h: int, i: int, r):
 
 class Simulation:
     """Owns the ledger, the agents, the clock, and the transcript. Beside the
-    lines it writes, it tallies the report's message counts and funding inflow."""
+    lines it writes, it tallies the report's message counts and funding inflow.
+    `submissions` holds the scenario's own (address, amount, height) entries
+    by height; each height's tick submits its list in order, then drops it."""
 
     def __init__(
         self,
         *,
         ledger: Ledger,
         agents: list,
-        submissions: dict[int, list[tuple[bytes, int]]],
+        submissions: dict[int, list],
         last_height: int,
         net: NetConfig,
         max_time: int,
@@ -350,7 +352,7 @@ class Simulation:
     def _tick(self, height: int) -> None:
         if height < self._last_height:
             heapq.heappush(self._heap, (height + 1, -1, ("tick", height + 1)))
-        for sender, amount in self.submissions.pop(height, ()):
+        for sender, amount, _ in self.submissions.pop(height, ()):
             self.ledger.submit_funding(sender, amount, height)
         self.ledger.seal_block()
 

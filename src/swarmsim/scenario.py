@@ -26,6 +26,7 @@ from .agent import AGENT_MEASUREMENT
 from .consensus import RoundConfig
 from .ledger import FundingWindow
 from .netsim import FAULT_CRASH, FAULT_KINDS, FAULT_WRONG_ROOT, FaultSpec, NetConfig, Partition
+from .transcript import canonical_json
 
 MAX_SINGLE_AMOUNT = 1 << 100
 
@@ -47,16 +48,8 @@ class InvalidFlags(Exception):
 # -- deterministic derivations --------------------------------------------------
 
 
-def _u64(v: int) -> bytes:
-    return struct.pack(">Q", v)
-
-
-def _u32(v: int) -> bytes:
-    return struct.pack(">I", v)
-
-
 def agent_signing_key(seed: int, index: int) -> bytes:
-    return hashlib.sha256(b"swarmsim/agent-key/v1" + _u64(seed) + _u32(index)).digest()
+    return hashlib.sha256(b"swarmsim/agent-key/v1" + struct.pack(">QI", seed, index)).digest()
 
 
 def bidder_address(seed: int, index: int) -> bytes:
@@ -65,17 +58,13 @@ def bidder_address(seed: int, index: int) -> bytes:
 
 def _bidder_addresses(seed: int, indices) -> Iterator[bytes]:
     """The bidder address layout, in one place; the seed's prefix is built once."""
-    prefix = b"swarmsim/bidder/v1" + _u64(seed)
+    prefix = b"swarmsim/bidder/v1" + struct.pack(">Q", seed)
     for index in indices:
-        yield hashlib.sha256(prefix + _u32(index)).digest()[:20]
+        yield hashlib.sha256(prefix + struct.pack(">I", index)).digest()[:20]
 
 
 def derive_auction_id(seed: int) -> bytes:
-    return hashlib.sha256(b"swarmsim/auction-id/v1" + _u64(seed)).digest()
-
-
-def _stream_rng(tag: bytes, seed: int) -> random.Random:
-    return random.Random(int.from_bytes(hashlib.sha256(tag + _u64(seed)).digest(), "big"))
+    return hashlib.sha256(b"swarmsim/auction-id/v1" + struct.pack(">Q", seed)).digest()
 
 
 # -- scenario model ---------------------------------------------------------------
@@ -99,7 +88,7 @@ class Scenario(NamedTuple):
     net: NetConfig
     rounds: RoundConfig
     max_time: int
-    scenario_hash: str  # SHA-256 hex of the file's bytes, which are not held
+    scenario_hash: str  # SHA-256 hex of the file's bytes (see load_scenario)
 
 
 def _parse_amount(value, path: str, problems: list[str]) -> int:
@@ -195,13 +184,14 @@ def _fault_keys(fault: dict) -> set[str]:
     return {"agent_index", "kind"} | args
 
 
-def parse_scenario(data: dict, raw: bytes) -> Scenario:
+def parse_scenario(data: dict, scenario_hash: str | None = None) -> Scenario:
     """Validate a scenario dict, resolving any generated population.
 
-    Raises InvalidScenario carrying one diagnostic per problem found. `raw`,
-    the bytes `data` was read from, is kept only as its hash.
+    Raises InvalidScenario carrying one diagnostic per problem found.
+    `scenario_hash` is the hash load_scenario took of the file `data` was
+    read from; a document with no file is hashed as its canonical JSON.
     """
-    sc, draw = _check_scenario(data, raw)
+    sc, draw = _check_scenario(data, scenario_hash)
     if draw is not None:
         count, sampler, spread = draw
         bidders = _generate_bidders(sc.seed, count, sampler, sc.window, spread)
@@ -209,7 +199,7 @@ def parse_scenario(data: dict, raw: bytes) -> Scenario:
     return sc
 
 
-def _check_scenario(data: dict, raw: bytes) -> tuple[Scenario, tuple | None]:
+def _check_scenario(data: dict, scenario_hash: str | None) -> tuple[Scenario, tuple | None]:
     """parse_scenario's checks: the scenario, with no bidders if they are
     generated, and the generator's (count, sampler, height spread) or None.
 
@@ -394,6 +384,8 @@ def _check_scenario(data: dict, raw: bytes) -> tuple[Scenario, tuple | None]:
 
     if problems:
         raise InvalidScenario(problems)
+    if scenario_hash is None:
+        scenario_hash = hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
     sc = Scenario(
         seed=seed,
@@ -413,14 +405,15 @@ def _check_scenario(data: dict, raw: bytes) -> tuple[Scenario, tuple | None]:
         ),
         rounds=RoundConfig(r_max=r_max, round_timeout=timeout),
         max_time=max_time,
-        scenario_hash=hashlib.sha256(raw).hexdigest(),
+        scenario_hash=scenario_hash,
     )
     return sc, None if sampler is None else (count, sampler, spread)
 
 
 def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]:
     """One contribution per generated bidder; amount draw precedes height draw."""
-    rng = _stream_rng(b"swarmsim/population/v1", seed)
+    stream = hashlib.sha256(b"swarmsim/population/v1" + struct.pack(">Q", seed)).digest()
+    rng = random.Random(int.from_bytes(stream, "big"))
     out, start = [], window.start_height
     for addr in _bidder_addresses(seed, range(count)):
         if sampler[0] == "uniform":
@@ -436,14 +429,16 @@ def _generate_bidders(seed, count, sampler, window, spread) -> list[BidderEntry]
     return out
 
 
-def load_scenario(path: str) -> tuple[dict, bytes]:
+def load_scenario(path: str) -> tuple[dict, str]:
+    """The file's JSON document and the SHA-256 hex of its bytes as stored (a
+    BOM or a UTF-16 encoding counts): the one hash a run or a verify takes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
         raise InvalidScenario([f"scenario file: not valid JSON ({exc})"]) from exc
-    return data, raw
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 # -- scenario generation ------------------------------------------------------------
@@ -539,7 +534,7 @@ def build_scenario_dict(
         "max_time": max_time,
     }
     try:
-        _check_scenario(data, b"")  # the population is drawn by the run that reads it
+        _check_scenario(data, None)  # the population is drawn by the run that reads it
     except InvalidScenario as exc:
         raise InvalidFlags("; ".join(exc.problems)) from None
     return data

@@ -9,6 +9,7 @@ import pytest
 from swarmsim import cli, harness, scenario
 from swarmsim.netsim import Simulation
 from swarmsim.scenario import build_scenario_dict
+from swarmsim.transcript import canonical_json
 
 pytestmark = pytest.mark.golden_matrix
 
@@ -176,6 +177,29 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert cli.main(["verify", tpath, spath]) == 1
     out = capsys.readouterr().out
     assert "reject" in out and "line 4" in out
+
+
+@pytest.mark.golden_matrix
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_the_scenario_hash_is_of_the_files_bytes_not_its_document(tmp_path, capsys, encoding):
+    # json reads a scenario saved with a BOM or as UTF-16 by detecting the
+    # encoding; the header binds the bytes as stored, so the same document
+    # saved as plain UTF-8 is another scenario file to verify against
+    data = build_scenario_dict(seed=11)
+    text = json.dumps(data, indent=2) + "\n"
+    spath, plain, tfile = (tmp_path / name for name in ("s.json", "plain.json", "t.jsonl"))
+    spath.write_bytes(text.encode(encoding))
+    plain.write_bytes(text.encode("utf-8"))
+    tpath = tfile.as_posix()
+    assert cli.main(["run", spath.as_posix(), "--transcript", tpath]) == 0
+    header = json.loads(tfile.read_text(encoding="utf-8").partition("\n")[0])
+    assert header["scenario_hash"] == hashlib.sha256(spath.read_bytes()).hexdigest()
+    for document in (plain.read_bytes(), canonical_json(data).encode("utf-8")):
+        assert header["scenario_hash"] != hashlib.sha256(document).hexdigest()
+    assert cli.main(["verify", tpath, spath.as_posix()]) == 0
+    assert "accept" in capsys.readouterr().out
+    assert cli.main(["verify", tpath, plain.as_posix()]) == 1
+    assert capsys.readouterr().out == "reject: scenario_hash_mismatch\n"
 
 
 @pytest.mark.parametrize("header", ["5", "[1]", "null", "[" * 100_000 + "]" * 100_000])

@@ -25,7 +25,7 @@ from swarmsim.consensus import TRANSPORT_DOMAIN
 from swarmsim.harness import EXIT_CODES, run_scenario, run_scenario_dict, verify_transcript
 from swarmsim.ledger import BLOCK_SEALED, Ledger
 from swarmsim.netsim import Simulation
-from swarmsim.scenario import agent_signing_key, build_scenario_dict, load_scenario
+from swarmsim.scenario import agent_signing_key, build_scenario_dict
 from swarmsim.transcript import Transcript, canonical_json, hash_body_lines
 from swarmsim.wallet import verify_signature, verifying_key_for
 from test_consensus import body_object, dumps
@@ -112,7 +112,7 @@ def test_a_run_and_its_replay_build_no_reference_cycles(name, tmp_path):
     gc.disable()
     try:
         gc.collect()
-        tr, report = run_scenario_dict(*load_scenario(spath.as_posix()))
+        tr, report = run_scenario(spath.as_posix())
         tr.write(tpath.as_posix())
         result = verify_transcript(tpath.as_posix(), spath.as_posix())
         assert gc.collect() == 0
